@@ -8,7 +8,7 @@
      regions                   show the region partition of a model
      sweep                     l_max sweep for one model (Figure 7 style)
      lint                      verify + lint a compiled model
-     certify                   re-check min-cut certificates + abstract-interpretation safety
+     certify                   re-check min-cut certificates + Table 1 level and noise rules
      cache                     on-disk plan cache stats / clear
      bench-diff                gate a candidate bench file against a baseline
      explain                   cost waterfall + per-bootstrap min-cut rationale
@@ -946,9 +946,9 @@ let certify_cmd =
     (Cmd.info "certify"
        ~doc:
          "Compile the model/manager matrix and check every plan's evidence: re-verify \
-          each min-cut optimality certificate (LP duality), prove level/capacity \
-          safety by interval abstract interpretation, and prove noise safety by a \
-          sound noise-bound analysis.  Warm plan-cache hits re-check their stored \
+          each min-cut optimality certificate (LP duality), check the managed graph \
+          against the strict Table 1 scale/level rules, and check the static noise \
+          estimate for NaN, modulus fit and output precision.  Warm plan-cache hits re-check their stored \
           certificates, so a corrupted cache entry is refuted rather than served.  \
           Exit 2 when any plan is refuted.")
     Term.(

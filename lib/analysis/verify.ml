@@ -44,22 +44,19 @@ let topo g =
     (Dfg.live_nodes g);
   List.rev !ds
 
-let contains s sub =
-  let ls = String.length sub and ln = String.length s in
-  let rec go i = i + ls <= ln && (String.sub s i ls = sub || go (i + 1)) in
-  go 0
-
-(* Strict Table 1 propagation.  Bootstrap-range violations are dropped
-   here: they are re-reported under the dedicated "bootstrap-target" rule
-   below, which also runs on pre-management graphs. *)
+(* Strict Table 1 propagation.  A bootstrap node's only violation is its
+   target range, which is re-reported under the dedicated
+   "bootstrap-target" rule below (that rule also runs on pre-management
+   graphs), so violations at bootstraps are dropped here. *)
 let scale_rules prm g =
   span "scale" @@ fun () ->
   let info, violations = Scale_check.analyse ~strict:true prm g in
   let ds =
     List.filter_map
-      (fun v ->
-        if contains v.Scale_check.message "bootstrap target" then None
-        else Some (Diag.error ~node:v.Scale_check.node "scale" "%s" v.Scale_check.message))
+      (fun { Scale_check.node; message } ->
+        match (Dfg.node g node).Dfg.kind with
+        | Op.Bootstrap _ -> None
+        | _ -> Some (Diag.error ~node "scale" "%s" message))
       violations
   in
   (info, ds)

@@ -100,6 +100,21 @@ let pow2 bits = 2.0 ** bits
    multiplicative depth and say nothing about real behaviour. *)
 let rms2 a b = sqrt ((a *. a) +. (b *. b))
 
+(* Fresh noise per operation, in bits above the unit at the result scale:
+   encryption, multiplication and rescaling add [2^(10 - scale)], key
+   switching (rotation, relinearisation) [2^(12 - scale)]; a bootstrap
+   reaches 22 bits of precision whatever the scale. *)
+let fresh_noise_bits = 10.0
+let rotate_noise_bits = 12.0
+let bootstrap_precision_bits = 22.0
+
+let fresh_noise ~scale_bits = pow2 (fresh_noise_bits -. float_of_int scale_bits)
+let rotate_noise ~scale_bits = pow2 (rotate_noise_bits -. float_of_int scale_bits)
+let bootstrap_noise = pow2 (-.bootstrap_precision_bits)
+
+let mul_err ~a_max ~b_max ~a_err ~b_err ~fresh =
+  rms2 (rms2 (a_max *. b_err) (b_max *. a_err)) fresh
+
 (* Apply an injected fault to the result of an operation.  Every draw —
    the firing decision in [Fault.draw] and the effect parameters here —
    comes from the injector's private stream, never from [t.rng], so the
@@ -209,10 +224,6 @@ let check_size ~what (ct : Ciphertext.t) =
    end-to-end error measurable at decryption. *)
 let jitter t ~bound v = v +. Prng.uniform t.rng ~lo:(-.bound) ~hi:bound
 
-let fresh_noise_bits = 10.0
-let rotate_noise_bits = 12.0
-let bootstrap_precision_bits = 22.0
-
 let encode t ?scale_bits slots =
   let scale_bits = Option.value scale_bits ~default:t.prm.Params.waterline_bits in
   Plaintext.encode ~scale_bits slots
@@ -223,7 +234,7 @@ let encrypt t ?level ?scale_bits slots =
   and scale_bits = Option.value scale_bits ~default:t.prm.Params.input_scale_bits in
   if level < 0 then failc Negative_level ~op:"encrypt" ~level "encrypt: negative level";
   check_capacity t ~what:"encrypt" ~scale_bits ~level;
-  let err = pow2 (fresh_noise_bits -. float_of_int scale_bits) in
+  let err = fresh_noise ~scale_bits in
   let slots = Array.map (jitter t ~bound:err) slots in
   traced "encrypt" None ~charge_level:level
     (Ciphertext.make ~slots ~scale_bits ~level ~size:2 ~err)
@@ -268,9 +279,6 @@ let add_cp t (a : Ciphertext.t) (pt : Plaintext.t) =
     (Ciphertext.make ~slots ~scale_bits:a.scale_bits ~level:a.level ~size:2
        ~err:(rms2 a.err pt.err))
 
-let mul_err ~a_max ~b_max ~a_err ~b_err ~fresh =
-  rms2 (rms2 (a_max *. b_err) (b_max *. a_err)) fresh
-
 let mul_cc t (a : Ciphertext.t) (b : Ciphertext.t) =
   t.ops <- t.ops + 1;
   check_size ~what:"mul_cc" a;
@@ -280,7 +288,7 @@ let mul_cc t (a : Ciphertext.t) (b : Ciphertext.t) =
       ~noise:a.err "mul_cc: level mismatch (%d vs %d)" a.level b.level;
   let scale_bits = a.scale_bits + b.scale_bits in
   check_capacity t ~what:"mul_cc" ~scale_bits ~level:a.level;
-  let fresh = pow2 (fresh_noise_bits -. float_of_int scale_bits) in
+  let fresh = fresh_noise ~scale_bits in
   let err =
     mul_err ~a_max:(Ciphertext.max_abs a) ~b_max:(Ciphertext.max_abs b) ~a_err:a.err
       ~b_err:b.err ~fresh
@@ -297,7 +305,7 @@ let mul_cp t (a : Ciphertext.t) (pt : Plaintext.t) =
   check_size ~what:"mul_cp" a;
   let scale_bits = a.scale_bits + pt.scale_bits in
   check_capacity t ~what:"mul_cp" ~scale_bits ~level:a.level;
-  let fresh = pow2 (fresh_noise_bits -. float_of_int scale_bits) in
+  let fresh = fresh_noise ~scale_bits in
   let err =
     mul_err ~a_max:(Ciphertext.max_abs a) ~b_max:(Plaintext.max_abs pt) ~a_err:a.err
       ~b_err:pt.err ~fresh
@@ -316,7 +324,7 @@ let rotate t (ct : Ciphertext.t) k =
     failc Slot_mismatch ~op:"rotate" ~level:ct.level ~scale_bits:ct.scale_bits
       ~noise:ct.err "rotate: empty ciphertext";
   let k = ((k mod n) + n) mod n in
-  let extra = pow2 (rotate_noise_bits -. float_of_int ct.scale_bits) in
+  let extra = rotate_noise ~scale_bits:ct.scale_bits in
   let slots = Array.init n (fun i -> jitter t ~bound:extra ct.slots.((i + k) mod n)) in
   traced "rotate" (Some Cost_model.Rotate) ~charge_level:ct.level ~noise_before:ct.err
     (Ciphertext.make ~slots ~scale_bits:ct.scale_bits ~level:ct.level ~size:2
@@ -327,7 +335,7 @@ let relin t (ct : Ciphertext.t) =
   if ct.size <> 3 then
     failc Size_mismatch ~op:"relin" ~level:ct.level ~scale_bits:ct.scale_bits
       ~noise:ct.err "relin: expected size-3 ciphertext (got %d)" ct.size;
-  let extra = pow2 (rotate_noise_bits -. float_of_int ct.scale_bits) in
+  let extra = rotate_noise ~scale_bits:ct.scale_bits in
   let slots = Array.map (jitter t ~bound:extra) ct.slots in
   traced "relin" (Some Cost_model.Relin) ~charge_level:ct.level ~noise_before:ct.err
     (Ciphertext.make ~slots ~scale_bits:ct.scale_bits ~level:ct.level ~size:2
@@ -344,7 +352,7 @@ let rescale t (ct : Ciphertext.t) =
     failc Scale_underflow ~op:"rescale" ~level:ct.level ~scale_bits:ct.scale_bits
       ~noise:ct.err "rescale: scale 2^%d below q*q_w = 2^%d" ct.scale_bits (q + qw);
   let scale_bits = ct.scale_bits - q in
-  let extra = pow2 (fresh_noise_bits -. float_of_int scale_bits) in
+  let extra = fresh_noise ~scale_bits in
   let slots = Array.map (jitter t ~bound:extra) ct.slots in
   level_transition "rescale" ~from_level:ct.level ~to_level:(ct.level - 1);
   traced "rescale" (Some Cost_model.Rescale) ~charge_level:ct.level ~noise_before:ct.err
@@ -371,21 +379,19 @@ let bootstrap t (ct : Ciphertext.t) ~target_level =
     failc Target_out_of_range ~op:"bootstrap" ~level:ct.level
       ~scale_bits:ct.scale_bits ~noise:ct.err
       "bootstrap: target level %d outside [1, %d]" target_level t.prm.Params.l_max;
-  let extra = pow2 (-.bootstrap_precision_bits) in
-  let slots = Array.map (jitter t ~bound:extra) ct.slots in
+  let slots = Array.map (jitter t ~bound:bootstrap_noise) ct.slots in
   level_transition "bootstrap" ~from_level:ct.level ~to_level:target_level;
   traced "bootstrap" (Some Cost_model.Bootstrap) ~charge_level:target_level
     ~noise_before:ct.err
     (Ciphertext.make ~slots ~scale_bits:t.prm.Params.scale_bits ~level:target_level
-       ~size:2 ~err:(rms2 ct.err extra))
+       ~size:2 ~err:(rms2 ct.err bootstrap_noise))
 
 let refresh t (ct : Ciphertext.t) =
   t.ops <- t.ops + 1;
   check_size ~what:"refresh" ct;
-  let extra = pow2 (-.bootstrap_precision_bits) in
-  let slots = Array.map (jitter t ~bound:extra) ct.slots in
+  let slots = Array.map (jitter t ~bound:bootstrap_noise) ct.slots in
   level_transition "refresh" ~from_level:ct.level ~to_level:ct.level;
   traced "refresh" (Some Cost_model.Bootstrap) ~charge_level:ct.level
     ~noise_before:ct.err
     (Ciphertext.make ~slots ~scale_bits:ct.scale_bits ~level:ct.level ~size:2
-       ~err:extra)
+       ~err:bootstrap_noise)

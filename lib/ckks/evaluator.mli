@@ -138,3 +138,29 @@ val refresh : t -> Ciphertext.t -> Ciphertext.t
 val capacity_ok : Params.t -> scale_bits:int -> level:int -> bool
 (** The paper's capacity constraint
     [level >= ceil(scale_bits / q_bits) - 1]. *)
+
+(** {1 Noise model}
+
+    The RMS error rules every operation above applies to its result's
+    [err].  {!Fhe_ir.Noise_check} propagates the same rules statically,
+    so the compile-time estimate and the run share one definition. *)
+
+val rms2 : float -> float -> float
+(** Independent errors combine in quadrature: [sqrt (a^2 + b^2)]. *)
+
+val fresh_noise : scale_bits:int -> float
+(** Noise added by encryption, multiplication and rescaling at a result
+    scale of [2^scale_bits]: [2^(10 - scale_bits)]. *)
+
+val rotate_noise : scale_bits:int -> float
+(** Key-switching noise of a rotation or relinearisation:
+    [2^(12 - scale_bits)]. *)
+
+val bootstrap_noise : float
+(** Bootstrap output precision, [2^-22], independent of the scale. *)
+
+val mul_err :
+  a_max:float -> b_max:float -> a_err:float -> b_err:float -> fresh:float -> float
+(** Error of a product whose operands are bounded by [a_max]/[b_max] and
+    carry errors [a_err]/[b_err]: the cross terms and the multiplication's
+    [fresh] noise, combined with {!rms2}. *)

@@ -199,6 +199,72 @@ let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
 
 (* --- Certification -------------------------------------------------------- *)
 
+(* Headroom the encoding needs on top of the scaled signal: sign bit plus
+   rounding conventions — small, but not zero (a full-capacity scale with
+   magnitude exactly 1.0 is legal for the evaluator). *)
+let encoding_slack_bits = 2.0
+
+(* Noise findings from one static estimate.  A NaN estimate is an error.
+   Modulus fit is a cannot-prove warning, not a refutation: magnitudes are
+   worst-case bounds (on deep circuits far above the run, see
+   {!Fhe_ir.Noise_check.check_trace}'s tolerance), and scale-capacity fit
+   is already proven by certify.levels.  It is summarised as one
+   graph-level warning naming the worst node. *)
+let noise_diags ~scales prm managed =
+  let per_node = (Fhe_ir.Noise_check.analyse ~scales prm managed).Fhe_ir.Noise_check.per_node in
+  let q = prm.Ckks.Params.scale_bits and q0 = prm.Ckks.Params.q0_bits in
+  let ds = ref [] in
+  let is_output = Array.make (Fhe_ir.Dfg.node_count managed) false in
+  List.iter (fun o -> is_output.(o) <- true) (Fhe_ir.Dfg.outputs managed);
+  let unproven = ref 0 and worst_node = ref (-1) and worst_bits = ref neg_infinity in
+  let worst_modulus = ref 0 in
+  List.iter
+    (fun (n : Fhe_ir.Dfg.node) ->
+      let id = n.Fhe_ir.Dfg.id in
+      if Fhe_ir.Op.produces_ct n.Fhe_ir.Dfg.kind then begin
+        let { Fhe_ir.Noise_check.magnitude = mag; noise } = per_node.(id) in
+        let s = scales.(id).Fhe_ir.Scale_check.scale_bits
+        and l = scales.(id).Fhe_ir.Scale_check.level in
+        if Float.is_nan mag || Float.is_nan noise then
+          ds :=
+            Analysis.Diag.error ~node:id "absint-noise-nan"
+              "noise bound is NaN (mag %g, noise %g)" mag noise
+            :: !ds
+        else begin
+          (* Scaled signal plus noise fitting the RNS modulus chain
+             q0 * q^level at this level. *)
+          let modulus_bits = float_of_int (q0 + (l * q)) in
+          let signal_bits =
+            if mag +. noise <= 0.0 then neg_infinity
+            else Float.log2 (mag +. noise) +. float_of_int s
+          in
+          if signal_bits > modulus_bits +. encoding_slack_bits then begin
+            incr unproven;
+            if signal_bits -. modulus_bits > !worst_bits then begin
+              worst_bits := signal_bits -. modulus_bits;
+              worst_node := id;
+              worst_modulus := q0 + (l * q)
+            end
+          end
+        end;
+        if is_output.(id) && noise >= mag && mag > 0.0 then
+          ds :=
+            Analysis.Diag.warning ~node:id "absint-precision"
+              "output noise bound %g reaches the signal bound %g" noise mag
+            :: !ds
+      end)
+    (Fhe_ir.Dfg.live_nodes managed);
+  if !unproven > 0 then
+    ds :=
+      Analysis.Diag.warning ~node:!worst_node "absint-noise-overflow"
+        "cannot prove modulus fit for %d ciphertext%s under the worst-case noise bound \
+         (worst: node %d needs %.1f bits over its %d-bit modulus, slack %.0f)"
+        !unproven
+        (if !unproven = 1 then "" else "s")
+        !worst_node !worst_bits !worst_modulus encoding_slack_bits
+      :: !ds;
+  Analysis.Diag.sort !ds
+
 let certify_diags prm managed (report : Report.t) =
   Obs.span "certify" @@ fun () ->
   let cuts =
@@ -212,14 +278,21 @@ let certify_diags prm managed (report : Report.t) =
           e.Report.ce_cert)
       report.Report.certificates
   in
-  (* One concrete scale pass feeds both abstract checks' cross-validation. *)
-  let scales = Fhe_ir.Scale_check.infer prm managed in
-  let levels =
-    Obs.span "certify.levels" (fun () -> Analysis.Absint.check_levels ~scales prm managed)
+  (* One strict Table 1 pass: its violations refute the plan (capacity
+     overflow, level underflow, mismatches, bootstrap targets), and its
+     scales feed the noise estimate. *)
+  let scales, levels =
+    Obs.span "certify.levels" @@ fun () ->
+    let scales, violations = Fhe_ir.Scale_check.analyse ~strict:true prm managed in
+    ( scales,
+      Analysis.Diag.sort
+        (List.map
+           (fun (v : Fhe_ir.Scale_check.violation) ->
+             Analysis.Diag.error ~node:v.Fhe_ir.Scale_check.node "scale" "%s"
+               v.Fhe_ir.Scale_check.message)
+           violations) )
   in
-  let noise =
-    Obs.span "certify.noise" (fun () -> Analysis.Absint.check_noise ~scales prm managed)
-  in
+  let noise = Obs.span "certify.noise" (fun () -> noise_diags ~scales prm managed) in
   [ ("certify.cuts", cuts); ("certify.levels", levels); ("certify.noise", noise) ]
 
 let run_certify prm managed (report : Report.t) =

@@ -19,10 +19,15 @@ val certify_diags :
 (** Run the full certification battery on a compile result without
     raising: re-check every min-cut optimality certificate in
     {!Report.t.certificates} with {!Analysis.Certify} (group
-    ["certify.cuts"]), prove level/capacity safety with
-    {!Analysis.Absint.check_levels} (["certify.levels"]) and noise safety
-    with {!Analysis.Absint.check_noise} (["certify.noise"]).  Returns the
-    groups in that order; all lists empty means the plan is certified.
+    ["certify.cuts"]); check the managed graph against the strict Table 1
+    rules with one {!Fhe_ir.Scale_check.analyse} pass, every violation an
+    error under rule ["scale"] (["certify.levels"]); and run one
+    {!Fhe_ir.Noise_check.analyse} over those scales (["certify.noise"]):
+    a NaN estimate is an error (["absint-noise-nan"]), while ciphertexts
+    that cannot be shown to fit the modulus chain (one summarising
+    ["absint-noise-overflow"] warning) and outputs whose noise reaches
+    their signal (["absint-precision"]) are warnings.  Returns the groups
+    in that order; no error in any list means the plan is certified.
     Each group is timed as a [certify.*] span on the ambient profile. *)
 
 val compile :

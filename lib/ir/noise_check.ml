@@ -6,51 +6,46 @@ type report = {
   output_precision_bits : float;
 }
 
-let rms2 a b = sqrt ((a *. a) +. (b *. b))
-let pow2 bits = 2.0 ** bits
-
-(* Mirrors Ckks.Evaluator's noise constants. *)
-let fresh_noise_bits = 10.0
-let rotate_noise_bits = 12.0
-let bootstrap_precision_bits = 22.0
+module E = Ckks.Evaluator
 
 let analyse ?(input_magnitude = 1.0) ?(magnitude_cap = 1.0)
-    ?(const_magnitude = fun _ -> 1.0) prm g =
-  let scales = Scale_check.infer prm g in
+    ?(const_magnitude = fun _ -> 1.0) ?scales prm g =
+  let scales = match scales with Some s -> s | None -> Scale_check.infer prm g in
   let cap m = Float.min m magnitude_cap in
   let per_node = Array.make (Dfg.node_count g) { magnitude = 0.0; noise = 0.0 } in
   List.iter
     (fun id ->
       let node = Dfg.node g id in
       let arg i = per_node.(node.Dfg.args.(i)) in
-      let scale_bits id = float_of_int scales.(id).Scale_check.scale_bits in
-      let fresh = pow2 (fresh_noise_bits -. scale_bits id) in
+      let scale_bits = scales.(id).Scale_check.scale_bits in
+      let fresh = E.fresh_noise ~scale_bits in
       let v =
         match node.Dfg.kind with
         | Op.Input _ -> { magnitude = input_magnitude; noise = fresh }
         | Op.Const { name } ->
             (* encoding quantisation only *)
-            { magnitude = const_magnitude name; noise = pow2 (-.scale_bits id) }
+            { magnitude = const_magnitude name; noise = 2.0 ** (-.float_of_int scale_bits) }
         | Op.Add_cc | Op.Add_cp ->
             let a = arg 0 and b = arg 1 in
-            { magnitude = cap (a.magnitude +. b.magnitude); noise = rms2 a.noise b.noise }
+            { magnitude = cap (a.magnitude +. b.magnitude); noise = E.rms2 a.noise b.noise }
         | Op.Mul_cc | Op.Mul_cp ->
             let a = arg 0 and b = arg 1 in
             {
               magnitude = cap (a.magnitude *. b.magnitude);
               noise =
-                rms2 (rms2 (a.magnitude *. b.noise) (b.magnitude *. a.noise)) fresh;
+                E.mul_err ~a_max:a.magnitude ~b_max:b.magnitude ~a_err:a.noise
+                  ~b_err:b.noise ~fresh;
             }
         | Op.Rotate _ | Op.Relin ->
             let a = arg 0 in
-            { a with noise = rms2 a.noise (pow2 (rotate_noise_bits -. scale_bits id)) }
+            { a with noise = E.rms2 a.noise (E.rotate_noise ~scale_bits) }
         | Op.Rescale ->
             let a = arg 0 in
-            { a with noise = rms2 a.noise fresh }
+            { a with noise = E.rms2 a.noise fresh }
         | Op.Modswitch -> arg 0
         | Op.Bootstrap _ ->
             let a = arg 0 in
-            { a with noise = rms2 a.noise (pow2 (-.bootstrap_precision_bits)) }
+            { a with noise = E.rms2 a.noise E.bootstrap_noise }
       in
       per_node.(id) <- v)
     (Dfg.topo_order g);
@@ -83,7 +78,7 @@ let pp_trace_mismatch ppf m =
    [tolerance_bits] means the static model no longer tracks the evaluator
    (or the plan ran the program outside the analysed magnitude domain).
    The static analysis is an estimate, not a bound, so the default
-   tolerance mirrors [predicts]'s two orders of magnitude. *)
+   tolerance is 10 bits (1024x), looser than [predicts]'s 100x. *)
 let check_trace ?(tolerance_bits = 10.0) report events =
   List.filter_map
     (fun (e : Obs.Trace.op_event) ->

@@ -1,7 +1,8 @@
 (** Static noise estimation.
 
-    Propagates the same RMS error model the simulated evaluator injects at
-    run time ({!Ckks.Evaluator}) through a DFG at compile time, using
+    Propagates the RMS error model the simulated evaluator injects at run
+    time through a DFG at compile time, calling the same rules
+    ({!Ckks.Evaluator.fresh_noise}, {!Ckks.Evaluator.mul_err}, ...) on
     magnitude bounds instead of concrete slot values.  The result predicts
     the output precision of a managed program before executing it — the
     compile-time counterpart of the paper's RQ3 accuracy validation, and a
@@ -24,20 +25,11 @@ type report = {
   output_precision_bits : float;  (** [-log2 output_noise]. *)
 }
 
-(** {1 Model constants}
-
-    The RMS noise constants mirrored from {!Ckks.Evaluator}, exported so
-    independent analyses (e.g. {!Analysis.Absint}) can prove themselves
-    against the same model rather than duplicating magic numbers. *)
-
-val fresh_noise_bits : float
-val rotate_noise_bits : float
-val bootstrap_precision_bits : float
-
 val analyse :
   ?input_magnitude:float ->
   ?magnitude_cap:float ->
   ?const_magnitude:(string -> float) ->
+  ?scales:Scale_check.info array ->
   Ckks.Params.t ->
   Dfg.t ->
   report
@@ -48,7 +40,9 @@ val analyse :
     [infinity] for a sound worst-case analysis of shallow programs.
     [const_magnitude] bounds named plaintexts (weights, masks); the model
     lowering knows its amplitudes exactly, so passing its resolver's
-    maxima makes the prediction sharp. *)
+    maxima makes the prediction sharp.  [scales] supplies a precomputed
+    {!Scale_check.infer} (or [analyse]) result for [g]; it is recomputed
+    when absent. *)
 
 val predicts : report -> measured:float -> bool
 (** Sanity predicate used by tests: the measured end-to-end error is
@@ -78,8 +72,8 @@ val check_trace :
   Obs.Trace.op_event list ->
   trace_mismatch list
 (** Events whose recorded noise exceeds the static per-node estimate by
-    more than [tolerance_bits] (default 10.0 — two orders of magnitude,
-    the same slack as {!predicts}).  Events without node attribution are
+    more than [tolerance_bits] (default 10.0, a factor of 1024 — looser
+    than the factor of 100 {!predicts} allows).  Events without node attribution are
     skipped.  The [report] must come from {!analyse} on the {e same} graph
     the trace was recorded from. *)
 

@@ -63,8 +63,9 @@ type config = {
       (** Relative trigger: a ciphertext whose observed headroom is more
           than this many bits below its static prediction is damaged even
           above the absolute floor.  Must exceed the noise model's
-          validated error ({!Fhe_ir.Noise_check.check_trace}'s 10-bit
-          tolerance) or clean runs would false-positive. *)
+          validated error ({!Fhe_ir.Noise_check.check_trace}'s default
+          tolerance of 10 bits, a factor of 1024) or clean runs would
+          false-positive. *)
 }
 
 val default : config

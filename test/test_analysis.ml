@@ -96,7 +96,16 @@ let verify_bootstrap_target_range () =
   checkb "target 0 rejected" true (rule_fires "bootstrap-target" (bad 0));
   checkb "target l_max+1 rejected" true
     (rule_fires "bootstrap-target" (bad (prm.Ckks.Params.l_max + 1)));
-  checkb "target 1 fine" false (rule_fires "bootstrap-target" (bad 1))
+  checkb "target 1 fine" false (rule_fires "bootstrap-target" (bad 1));
+  (* With the scale rules on, the strict propagation's own complaint about
+     the target is left to the dedicated rule: reported once, not twice. *)
+  let g = Dfg.create () in
+  let b = Dfg.bootstrap g ~target_level:(prm.Ckks.Params.l_max + 1) (Dfg.input g "x") in
+  Dfg.set_outputs g [ b ];
+  let ds = Analysis.Verify.run ~scale:true prm g in
+  let count rule = List.length (List.filter (fun d -> d.Analysis.Diag.rule = rule) ds) in
+  checki "one bootstrap-target diagnostic" 1 (count "bootstrap-target");
+  checki "no scale diagnostic" 0 (count "scale")
 
 let regions_view (r : Resbm.Region.t) =
   { Analysis.Verify.region_of = r.Resbm.Region.region_of; count = r.Resbm.Region.count }

@@ -1,6 +1,7 @@
 (* Certified plans: adversarial checks on the min-cut optimality
-   certificates, the abstract-interpretation engine behind [resbm
-   certify], the shared liveness schedule, fuel calibration, and the
+   certificates, the level rules [resbm certify] applies to managed
+   graphs (a corrupted plan must be refuted), the shared liveness
+   schedule against a def-use reference, fuel calibration, and the
    retry-less chaos mode.
 
    The corruption tests are the point of the certificate design: a
@@ -194,116 +195,117 @@ let cert_accepts_planner_style_cuts =
       Analysis.Certify.ok (Analysis.Certify.check ~value:cut.MF.value cert)
       && (cut.MF.value = infinity || Float.abs (cut.MF.value -. expect) < 1e-6))
 
-(* --- Dataflow engine --------------------------------------------------- *)
-
-module Depth_domain = struct
-  type t = int
-
-  let bottom = -1
-  let equal = Int.equal
-  let join = Int.max
-  let widen = Int.max
-end
-
-module Depth_solver = Analysis.Dataflow.Make (Depth_domain)
-
-let dataflow_forward_depth () =
-  let g = fig1_block () in
-  let r =
-    Depth_solver.solve g
-      ~init:(fun _ -> -1)
-      ~transfer:(fun (n : Fhe_ir.Dfg.node) ~get _ ->
-        if Array.length n.Fhe_ir.Dfg.args = 0 then 0
-        else 1 + Array.fold_left (fun acc a -> Int.max acc (get a)) 0 n.Fhe_ir.Dfg.args)
-  in
-  (* Reference: the same recursion computed directly in topo order. *)
-  let expected = Array.make (Fhe_ir.Dfg.node_count g) 0 in
-  List.iter
-    (fun id ->
-      let n = Fhe_ir.Dfg.node g id in
-      expected.(id) <-
-        (if Array.length n.Fhe_ir.Dfg.args = 0 then 0
-         else 1 + Array.fold_left (fun acc a -> Int.max acc expected.(a)) 0 n.Fhe_ir.Dfg.args))
-    (Fhe_ir.Dfg.topo_order g);
-  Array.iteri
-    (fun id d -> checki (Printf.sprintf "node %d depth" id) expected.(id) d)
-    r.Depth_solver.output;
-  (* A DAG swept in topo order reaches the fixpoint in one visit per
-     node — the engine must not revisit. *)
-  checki "one visit per node" (Fhe_ir.Dfg.node_count g) r.Depth_solver.steps
-
-let dataflow_backward_height () =
-  let g = fig1_block () in
-  let outputs = Fhe_ir.Dfg.outputs g in
-  let r =
-    Depth_solver.solve ~direction:Analysis.Dataflow.Backward g
-      ~init:(fun _ -> -1)
-      ~transfer:(fun (n : Fhe_ir.Dfg.node) ~get:_ flowed ->
-        if List.mem n.Fhe_ir.Dfg.id outputs then 0 else flowed + 1)
-  in
-  let expected = Array.make (Fhe_ir.Dfg.node_count g) (-1) in
-  List.iter
-    (fun id ->
-      let users = Fhe_ir.Dfg.succs g id in
-      expected.(id) <-
-        (if List.mem id outputs then 0
-         else 1 + List.fold_left (fun acc u -> Int.max acc expected.(u)) (-1) users))
-    (List.rev (Fhe_ir.Dfg.topo_order g));
-  Array.iteri
-    (fun id h -> checki (Printf.sprintf "node %d height" id) expected.(id) h)
-    r.Depth_solver.output
-
-(* --- Abstract interpretation on a real managed graph ------------------- *)
+(* --- Certification of a real managed graph ------------------------------ *)
 
 let managed_tiny =
   lazy
     (let lowered = Nn.Lowering.lower Nn.Model.tiny in
      Resbm.Driver.compile prm lowered.Nn.Lowering.dfg)
 
-let absint_certifies_managed_tiny () =
+let certify_managed_tiny () =
   let managed, report = Lazy.force managed_tiny in
   List.iter
     (fun (group, ds) ->
       checkb (group ^ " has no refutation") false (Analysis.Diag.has_errors ds))
     (Resbm.Driver.certify_diags prm managed report)
 
-let absint_interval_contains_concrete () =
-  let managed, _ = Lazy.force managed_tiny in
-  let r = Analysis.Absint.solve_intervals prm managed in
-  let concrete = Fhe_ir.Scale_check.infer prm managed in
-  List.iter
-    (fun (n : Fhe_ir.Dfg.node) ->
-      let id = n.Fhe_ir.Dfg.id in
-      let c = concrete.(id) in
-      if c.Fhe_ir.Scale_check.is_ct then
-        match r.Analysis.Absint.Scale_solver.output.(id) with
-        | Analysis.Absint.Bot -> Alcotest.failf "node %d: ciphertext unreached" id
-        | Analysis.Absint.Iv v ->
-            checkb
-              (Printf.sprintf "node %d concrete scale/level inside the interval" id)
-              true
-              (c.Fhe_ir.Scale_check.scale_bits >= v.Analysis.Absint.s_lo
-              && c.Fhe_ir.Scale_check.scale_bits <= v.Analysis.Absint.s_hi
-              && c.Fhe_ir.Scale_check.level >= v.Analysis.Absint.l_lo
-              && c.Fhe_ir.Scale_check.level <= v.Analysis.Absint.l_hi))
-    (Fhe_ir.Dfg.live_nodes managed)
+(* Corrupt a copy of a managed graph and require certify.levels to refute
+   it: the level rules must reject what the planner would never emit, not
+   merely agree with what it did emit.  At l_max 10 tiny bootstraps and
+   runs down to level 1, so both corruptions have something to break. *)
+let certify_refutes_broken_levels () =
+  let prm = Ckks.Params.with_l_max { prm with Ckks.Params.input_level = 10 } 10 in
+  let managed, report =
+    Resbm.Driver.compile prm (Nn.Lowering.lower Nn.Model.tiny).Nn.Lowering.dfg
+  in
+  let levels g = List.assoc "certify.levels" (Resbm.Driver.certify_diags prm g report) in
+  let errors_at ids ds =
+    List.exists
+      (fun (d : Analysis.Diag.t) ->
+        d.Analysis.Diag.severity = Analysis.Diag.Error
+        && match d.Analysis.Diag.node with Some n -> List.mem n ids | None -> false)
+      ds
+  in
+  let live = Fhe_ir.Dfg.live_nodes managed in
+  let ids kind_ok =
+    List.filter_map
+      (fun (n : Fhe_ir.Dfg.node) ->
+        if kind_ok n.Fhe_ir.Dfg.kind then Some n.Fhe_ir.Dfg.id else None)
+      live
+  in
+  checkb "the intact plan certifies" false (Analysis.Diag.has_errors (levels managed));
+  (* Bypass the rescale in front of the first ciphertext-plaintext
+     multiplication that has one: its scale is then a factor q too large
+     all the way down, and a later multiplication overflows its level's
+     modulus capacity. *)
+  (match
+     List.find_opt
+       (fun (n : Fhe_ir.Dfg.node) ->
+         n.Fhe_ir.Dfg.kind = Fhe_ir.Op.Mul_cp
+         && (Fhe_ir.Dfg.node managed n.Fhe_ir.Dfg.args.(0)).Fhe_ir.Dfg.kind = Fhe_ir.Op.Rescale)
+       live
+   with
+  | None -> Alcotest.fail "no rescale feeds a multiplication"
+  | Some mul ->
+      let g = Fhe_ir.Dfg.copy managed in
+      let rescale = Fhe_ir.Dfg.node managed mul.Fhe_ir.Dfg.args.(0) in
+      Fhe_ir.Dfg.set_arg g ~user:mul.Fhe_ir.Dfg.id ~arg_index:0 rescale.Fhe_ir.Dfg.args.(0);
+      checkb "a multiplication is refuted" true
+        (errors_at (ids Fhe_ir.Op.is_mul) (levels g)));
+  (* Retarget a bootstrap above the top of the modulus chain. *)
+  match ids (function Fhe_ir.Op.Bootstrap _ -> true | _ -> false) with
+  | [] -> Alcotest.fail "no bootstrap"
+  | b :: _ ->
+      let nodes, outputs = Fhe_ir.Dfg.export managed in
+      nodes.(b) <-
+        { (nodes.(b)) with Fhe_ir.Dfg.ex_kind = Fhe_ir.Op.Bootstrap (prm.Ckks.Params.l_max + 1) };
+      checkb "the bootstrap is refuted" true
+        (errors_at [ b ] (levels (Fhe_ir.Dfg.import (nodes, outputs))))
 
-let absint_liveness_below_schedule () =
+module Int_set = Set.Make (Int)
+
+(* Def-use liveness, swept directly in reverse topological order: the
+   values node [id] or any transitive user of its result still needs,
+   other than [id]'s own result.  Output persistence is not modelled, so
+   this is a lower bound on every schedule's live set. *)
+let def_use_live_in g =
+  let live_in = Array.make (Fhe_ir.Dfg.node_count g) Int_set.empty in
+  List.iter
+    (fun id ->
+      let n = Fhe_ir.Dfg.node g id in
+      let after =
+        List.fold_left
+          (fun acc u -> Int_set.union acc live_in.(u))
+          Int_set.empty (Fhe_ir.Dfg.succs g id)
+      in
+      let uses =
+        Array.fold_left
+          (fun acc a ->
+            if Fhe_ir.Op.produces_ct (Fhe_ir.Dfg.node g a).Fhe_ir.Dfg.kind then
+              Int_set.add a acc
+            else acc)
+          Int_set.empty n.Fhe_ir.Dfg.args
+      in
+      live_in.(id) <- Int_set.union uses (Int_set.remove id after))
+    (List.rev (Fhe_ir.Dfg.topo_order g));
+  live_in
+
+let def_use_liveness_below_schedule () =
   let managed, _ = Lazy.force managed_tiny in
-  let live = Analysis.Absint.liveness managed in
+  let live_in = def_use_live_in managed in
   let sched = Fhe_ir.Liveness.schedule managed in
   (* Def-use liveness is the declarative lower bound: anything it keeps
      alive before node [id] must be live at [id]'s schedule position. *)
   Array.iteri
     (fun id pos ->
       if pos >= 0 then
-        Analysis.Absint.Int_set.iter
+        Int_set.iter
           (fun v ->
             checkb
               (Printf.sprintf "value %d live before node %d" v id)
               true
               (Fhe_ir.Liveness.live_at sched ~at:pos v))
-          live.Analysis.Absint.live_in.(id))
+          live_in.(id))
     sched.Fhe_ir.Liveness.order_index
 
 let liveness_schedule_basics () =
@@ -392,11 +394,9 @@ let suite =
     case "recorded value mismatch refuted" cert_recorded_value_mismatch;
     cert_accepts_random_cuts;
     cert_accepts_planner_style_cuts;
-    case "dataflow forward depth" dataflow_forward_depth;
-    case "dataflow backward height" dataflow_backward_height;
-    case "certify_diags proves managed tiny" absint_certifies_managed_tiny;
-    case "interval abstraction contains concrete scales" absint_interval_contains_concrete;
-    case "def-use liveness below the schedule" absint_liveness_below_schedule;
+    case "certify_diags proves managed tiny" certify_managed_tiny;
+    case "certify_diags refutes broken levels" certify_refutes_broken_levels;
+    case "def-use liveness below the schedule" def_use_liveness_below_schedule;
     case "liveness schedule basics" liveness_schedule_basics;
     case "fuel calibration percentiles" fuel_calibrate;
     case "fuel calibration covers a real compile" fuel_calibrate_covers_real_compile;
