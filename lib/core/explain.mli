@@ -16,9 +16,6 @@ val labels : Fhe_ir.Dfg.t -> int64 array
     structurally identical.  Invariant under node renumbering — the
     anchor of every digest key. *)
 
-val hex : int64 -> string
-(** Label rendering used in digests ([%016Lx]). *)
-
 val attribution :
   ?top:int -> Ckks.Params.t -> managed:Fhe_ir.Dfg.t -> Report.t -> Obs.Explain.waterfall
 (** Fold the frequency-weighted Table 2 cost of every managed-graph node

@@ -1,4 +1,5 @@
 open Fhe_ir
+open Fnv
 
 (* Content-addressed plan cache.
 
@@ -18,28 +19,10 @@ open Fhe_ir
      hash, so re-planning an edited model re-solves only regions whose
      hash changed. *)
 
-(* ---------- FNV-1a ---------- *)
+(* ---------- FNV-1a mixers ---------- *)
 
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let mix_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
-
-let mix_int64 h v =
-  let h = ref h in
-  for i = 0 to 7 do
-    h := mix_byte !h (Int64.to_int (Int64.shift_right_logical v (8 * i)))
-  done;
-  !h
-
-let mix_int h v = mix_int64 h (Int64.of_int v)
 let mix_bool h b = mix_byte h (if b then 1 else 0)
 let mix_float h v = mix_int64 h (Int64.bits_of_float v)
-
-let mix_string h s =
-  let h = ref (mix_int h (String.length s)) in
-  String.iter (fun c -> h := mix_byte !h (Char.code c)) s;
-  !h
 
 let mix_opt_int h = function None -> mix_byte h 0xfe | Some v -> mix_int (mix_byte h 1) v
 
@@ -58,8 +41,6 @@ let mix_kind h (k : Op.kind) =
   | Op.Modswitch -> mix_byte h 9
   | Op.Bootstrap t -> mix_int (mix_byte h 10) t
 
-let hex h = Printf.sprintf "%016Lx" h
-
 (* ---------- fingerprints ---------- *)
 
 let fingerprint_levels = 24
@@ -69,7 +50,7 @@ let fingerprint_levels = 24
    disk entries. *)
 let cost_fingerprint =
   lazy
-    (let h = ref fnv_offset in
+    (let h = ref offset_basis in
      List.iteri
        (fun i op ->
          h := mix_int !h i;
@@ -90,7 +71,7 @@ let mix_params h (prm : Ckks.Params.t) =
   |> Fun.flip mix_int prm.Ckks.Params.input_scale_bits
   |> Fun.flip mix_int prm.Ckks.Params.bootstrap_depth
 
-let ctx_hash prm = mix_int64 (mix_params fnv_offset prm) (Lazy.force cost_fingerprint)
+let ctx_hash prm = mix_int64 (mix_params offset_basis prm) (Lazy.force cost_fingerprint)
 
 let mix_graph h g =
   let h = ref (mix_int h (Dfg.node_count g)) in
@@ -114,7 +95,7 @@ let bts_tag = function Region_eval.Bts_min_cut -> 0 | Region_eval.Bts_region_end
 
 let key ~(config : Btsmgr.config) ~name ~ms_opt ~segment_scan prm g =
   let h =
-    fnv_offset |> Fun.flip mix_string name
+    offset_basis |> Fun.flip mix_string name
     |> Fun.flip mix_bool config.Btsmgr.min_level_bts
     |> Fun.flip mix_byte (smo_tag config.Btsmgr.smo_mode)
     |> Fun.flip mix_byte (bts_tag config.Btsmgr.bts_mode)
@@ -139,7 +120,7 @@ let region_hashes prm (regioned : Region.t) =
   let ctx = ctx_hash prm in
   Array.init regioned.Region.count (fun r ->
       let members = Region.members regioned r in
-      let h = ref (mix_int (mix_int64 fnv_offset ctx) (Array.length members)) in
+      let h = ref (mix_int (mix_int64 offset_basis ctx) (Array.length members)) in
       Array.iter
         (fun id ->
           let n = Dfg.node g id in
@@ -579,8 +560,7 @@ let evict_locked t =
         Hashtbl.remove t.tbl k;
         t.evictions <- t.evictions + 1;
         Obs.metric_incr "plan_cache_evictions_total";
-        Obs.log_debug ~event:"plan_cache.evicted" "evicted the least-recently-used plan";
-        Obs.incr "plan_cache.evictions"
+        Obs.log_debug ~event:"plan_cache.evicted" "evicted the least-recently-used plan"
   done
 
 let insert_mem t k g r =
@@ -591,12 +571,15 @@ let insert_mem t k g r =
         evict_locked t
       end)
 
+(* A hit gets a private graph and a fresh profile: no planning ran, and
+   whatever the caller records (certify spans) must not reach the entry. *)
 let checkout timer (g, (r : Report.t)) =
   ( Dfg.copy g,
     {
       r with
       Report.compile_ms = Obs.Timer.elapsed_ms timer;
       region_of = Array.copy r.Report.region_of;
+      profile = Obs.Profile.create ();
     } )
 
 let find t k =
@@ -614,7 +597,6 @@ let find t k =
   match mem with
   | Some hit ->
       Obs.metric_incr "plan_cache_hits_total";
-      Obs.incr "plan_cache.hits";
       Some (checkout timer hit)
   | None -> (
       match disk_load t k with
@@ -624,14 +606,11 @@ let find t k =
               t.disk_hits <- t.disk_hits + 1);
           insert_mem t k g r;
           Obs.metric_incr "plan_cache_hits_total";
-          Obs.incr "plan_cache.hits";
           Obs.log_debug ~event:"plan_cache.disk_hit" "plan loaded from the disk tier";
-          Obs.incr "plan_cache.disk_hits";
           Some (checkout timer (g, r))
       | None ->
           Mutex.protect t.lock (fun () -> t.misses <- t.misses + 1);
           Obs.metric_incr "plan_cache_misses_total";
-          Obs.incr "plan_cache.misses";
           None)
 
 let store t k g (r : Report.t) =

@@ -15,8 +15,10 @@
       re-solves only regions whose hash changed.
 
     Hits and misses are counted on the ambient {!Obs} metrics as
-    [plan_cache_{hits,misses,evictions}_total] and on the ambient profile
-    as [plan_cache.*] counters.  All operations are mutex-protected. *)
+    [plan_cache_{hits,misses,evictions}_total] (lookups run outside any
+    compile profile, so there are no [plan_cache.*] profile counters;
+    {!stats} holds the cache's own totals).  All operations are
+    mutex-protected. *)
 
 type t
 
@@ -42,7 +44,9 @@ val key :
 val find : t -> string -> (Fhe_ir.Dfg.t * Report.t) option
 (** Cache lookup.  A hit returns a private copy of the managed graph and
     the stored report with [compile_ms] replaced by the lookup time (the
-    honest cost of the warm compile); all deterministic fields are
+    honest cost of the warm compile) and a fresh, empty profile (no
+    planning ran, and spans the caller records — e.g. certification —
+    never reach the cache entry); all deterministic fields are
     bit-identical to the cold compile's. *)
 
 val store : t -> string -> Fhe_ir.Dfg.t -> Report.t -> unit

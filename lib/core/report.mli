@@ -52,4 +52,4 @@ val pp : Format.formatter -> t -> unit
 
 val to_json : t -> Obs.Json.t
 (** Machine-readable report: scalar fields, stats, and the full profile
-    (spans, counters, series). *)
+    (spans and counters). *)

@@ -94,8 +94,8 @@ let run ?(fuel = Fuel.unlimited) regioned prm ~region ~level =
   let mc = Graphlib.Maxflow.min_cut net ~source:s ~sink:t in
   let cert = Graphlib.Maxflow.certificate net ~source:s ~sink:t mc in
   Obs.incr "smoplc.cuts";
-  Obs.observe "smoplc.cut_value" mc.Graphlib.Maxflow.value;
-  Obs.observe "smoplc.region_nodes" (float_of_int k);
+  Obs.metric_observe "smoplc_cut_value" mc.Graphlib.Maxflow.value;
+  Obs.metric_observe "smoplc_region_nodes" (float_of_int k);
   let node_at = Array.of_list nodes in
   let edges =
     List.filter_map

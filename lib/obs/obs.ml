@@ -1,8 +1,10 @@
 (* Lightweight observability for the compile pipeline: wall-clock spans,
-   monotonic counters, float series, and dependency-free JSON.  A profile
-   is installed as the ambient collector for the dynamic extent of one
-   compile; instrumentation sites record through the conveniences at the
-   bottom, which are no-ops when no profile is installed. *)
+   monotonic counters, and dependency-free JSON.  A profile is installed
+   as the ambient collector for the dynamic extent of one compile;
+   instrumentation sites record through the conveniences at the bottom,
+   which are no-ops when no profile is installed.  Per-event values
+   (cut sizes, latencies) go to Metrics histograms, which stay constant
+   space however long the run. *)
 
 module Json = struct
   type t =
@@ -258,6 +260,76 @@ module Timer = struct
   let elapsed_ms t = 1000.0 *. (Unix.gettimeofday () -. t)
 end
 
+(* The flight recorders' bounded store: a fixed ring of the most recent
+   [capacity] items.  Once full, each push overwrites the oldest item, so
+   the tail of a run always survives.  Not synchronised — Log wraps it in
+   its own mutex. *)
+module Ring = struct
+  type 'a t = { capacity : int; buf : 'a option array; mutable next : int }
+
+  let create ~owner capacity =
+    if capacity < 1 then invalid_arg (owner ^ ".create: capacity must be >= 1");
+    { capacity; buf = Array.make capacity None; next = 0 }
+
+  let push t x =
+    t.buf.(t.next mod t.capacity) <- Some x;
+    t.next <- t.next + 1
+
+  (* Items ever pushed, including overwritten ones. *)
+  let recorded t = t.next
+  let dropped t = max 0 (t.next - t.capacity)
+
+  (* Surviving items, oldest first. *)
+  let items t =
+    let stored = min t.next t.capacity in
+    let first = t.next - stored in
+    List.init stored (fun i -> Option.get t.buf.((first + i) mod t.capacity))
+end
+
+(* Chrome trace-event objects (Perfetto-loadable), the one dialect every
+   exporter speaks.  Fields appear in a fixed order — name, cat, ph, ts,
+   dur, pid, tid, s, args — and absent optional fields are omitted. *)
+module Chrome = struct
+  let usec ms = Float.round (ms *. 1000.0)
+
+  let event ?cat ?ts ?dur ?tid ?scope ~ph ~pid name args =
+    let opt key f = function Some v -> [ (key, f v) ] | None -> [] in
+    let str v = Json.String v and int v = Json.Int v in
+    Json.Obj
+      ((("name", Json.String name) :: opt "cat" str cat)
+      @ (("ph", Json.String ph) :: opt "ts" Fun.id ts)
+      @ opt "dur" Fun.id dur
+      @ (("pid", Json.Int pid) :: opt "tid" int tid)
+      @ opt "s" str scope
+      @ [ ("args", Json.Obj args) ])
+
+  (* A span of [dur_ms] starting at [start_ms] ("X"). *)
+  let complete ~cat ~pid ~tid ~start_ms ~dur_ms name args =
+    event ~cat ~ph:"X" ~ts:(Json.Float (usec start_ms)) ~dur:(Json.Float (usec dur_ms))
+      ~pid ~tid name args
+
+  (* A thread-scoped marker at [ts_ms] ("i"). *)
+  let instant ~cat ~pid ~tid ~ts_ms name args =
+    event ~cat ~ph:"i" ~ts:(Json.Float (usec ts_ms)) ~pid ~tid ~scope:"t" name args
+
+  (* One sample of a process-wide counter track ("C"). *)
+  let counter ~cat ~pid ~ts_ms name value =
+    event ~cat ~ph:"C" ~ts:(Json.Float (usec ts_ms)) ~pid name [ (name, value) ]
+
+  let process_name ~pid name =
+    event ~ph:"M" ~pid ~tid:0 "process_name" [ ("name", Json.String name) ]
+
+  (* A named thread, sorted by its tid. *)
+  let thread ~pid ~tid name =
+    [
+      event ~ph:"M" ~pid ~tid "thread_name" [ ("name", Json.String name) ];
+      event ~ph:"M" ~pid ~tid "thread_sort_index" [ ("sort_index", Json.Int tid) ];
+    ]
+
+  let trace events =
+    Json.Obj [ ("traceEvents", Json.List events); ("displayTimeUnit", Json.String "ms") ]
+end
+
 module Profile = struct
   type span = { name : string; depth : int; start_ms : float; dur_ms : float }
 
@@ -266,17 +338,10 @@ module Profile = struct
     mutable finished : span list;  (* reverse completion order *)
     mutable stack : (string * float) list;  (* open spans *)
     counters : (string, int) Hashtbl.t;
-    series : (string, float list ref) Hashtbl.t;  (* reverse order *)
   }
 
   let create () =
-    {
-      epoch = Unix.gettimeofday ();
-      finished = [];
-      stack = [];
-      counters = Hashtbl.create 16;
-      series = Hashtbl.create 16;
-    }
+    { epoch = Unix.gettimeofday (); finished = []; stack = []; counters = Hashtbl.create 16 }
 
   let now_ms t = 1000.0 *. (Unix.gettimeofday () -. t.epoch)
 
@@ -285,14 +350,6 @@ module Profile = struct
       (by + Option.value (Hashtbl.find_opt t.counters name) ~default:0)
 
   let counter t name = Option.value (Hashtbl.find_opt t.counters name) ~default:0
-
-  let observe t name v =
-    match Hashtbl.find_opt t.series name with
-    | Some r -> r := v :: !r
-    | None -> Hashtbl.add t.series name (ref [ v ])
-
-  let series t name =
-    match Hashtbl.find_opt t.series name with Some r -> List.rev !r | None -> []
 
   let span t name f =
     let start = now_ms t in
@@ -312,10 +369,6 @@ module Profile = struct
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counters [] (* det-ok: sorted *)
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-  let all_series t =
-    Hashtbl.fold (fun k r acc -> (k, List.rev !r) :: acc) t.series [] (* det-ok: sorted *)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-
   let to_json t =
     let span_json s =
       Json.Obj
@@ -326,24 +379,10 @@ module Profile = struct
           ("dur_ms", Json.Float s.dur_ms);
         ]
     in
-    let series_json (name, values) =
-      let count = List.length values in
-      let sum = List.fold_left ( +. ) 0.0 values in
-      ( name,
-        Json.Obj
-          [
-            ("count", Json.Int count);
-            ("sum", Json.Float sum);
-            ("min", Json.Float (List.fold_left Float.min infinity values));
-            ("max", Json.Float (List.fold_left Float.max neg_infinity values));
-            ("values", Json.List (List.map (fun v -> Json.Float v) values));
-          ] )
-    in
     Json.Obj
       [
         ("spans", Json.List (List.map span_json (spans t)));
         ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)));
-        ("series", Json.Obj (List.map series_json (all_series t)));
       ]
 
   let pp ppf t =
@@ -356,16 +395,15 @@ module Profile = struct
     Format.fprintf ppf "@]"
 
   (* Fold a worker domain's profile into [into]: spans are re-anchored to
-     [into]'s epoch, counters and series merge by name.  Call after the
-     worker has joined — neither profile may be concurrently mutated. *)
+     [into]'s epoch, counters merge by name.  Call after the worker has
+     joined — neither profile may be concurrently mutated. *)
   let merge ~into src =
     let offset = 1000.0 *. (src.epoch -. into.epoch) in
     let adjusted =
       List.rev_map (fun s -> { s with start_ms = s.start_ms +. offset }) src.finished
     in
     into.finished <- List.rev_append adjusted into.finished;
-    List.iter (fun (k, v) -> incr ~by:v into k) (counters src);
-    List.iter (fun (k, vs) -> List.iter (observe into k) vs) (all_series src)
+    List.iter (fun (k, v) -> incr ~by:v into k) (counters src)
 end
 
 module Trace = struct
@@ -407,26 +445,19 @@ module Trace = struct
   type ctx = { node : int; region : int; freq : int; cost_ms : float }
 
   type t = {
-    capacity : int;
-    buf : event option array;
-    mutable next : int;  (* total events recorded, including overwritten *)
+    ring : event Ring.t;
     mutable clock : float;  (* simulated timeline, ms *)
     mutable ctx : ctx option;
   }
 
   let create ?(capacity = 65536) () =
-    if capacity < 1 then invalid_arg "Trace.create: capacity must be >= 1";
-    { capacity; buf = Array.make capacity None; next = 0; clock = 0.0; ctx = None }
+    { ring = Ring.create ~owner:"Trace" capacity; clock = 0.0; ctx = None }
 
-  let recorded t = t.next
-  let dropped t = max 0 (t.next - t.capacity)
+  let recorded t = Ring.recorded t.ring
+  let dropped t = Ring.dropped t.ring
   let clock_ms t = t.clock
   let advance_clock t ms = t.clock <- t.clock +. ms
   let set_ctx t ctx = t.ctx <- ctx
-
-  let push t e =
-    t.buf.(t.next mod t.capacity) <- Some e;
-    t.next <- t.next + 1
 
   let record t ~op ?(cost_ms = 0.0) ?(noise_before = 0.0) ~level ~scale_bits ~size
       ~noise () =
@@ -437,10 +468,10 @@ module Trace = struct
     in
     let start_ms = t.clock in
     t.clock <- t.clock +. cost_ms;
-    push t
+    Ring.push t.ring
       (Op
          {
-           seq = t.next;
+           seq = recorded t;
            op;
            node;
            region;
@@ -462,15 +493,10 @@ module Trace = struct
       | None, Some c -> (c.node, c.region)
       | None, None -> (-1, -1)
     in
-    push t
-      (Instant { iseq = t.next; iname = name; inode; iregion; its_ms = t.clock; detail })
+    Ring.push t.ring
+      (Instant { iseq = recorded t; iname = name; inode; iregion; its_ms = t.clock; detail })
 
-  let events t =
-    let stored = min t.next t.capacity in
-    let first = t.next - stored in
-    List.filter_map
-      (fun i -> t.buf.((first + i) mod t.capacity))
-      (List.init stored (fun i -> i))
+  let events t = Ring.items t.ring
 
   let op_events t =
     List.filter_map (function Op e -> Some e | Instant _ -> None) (events t)
@@ -482,8 +508,6 @@ module Trace = struct
   let headroom_bits err =
     if err <= 0.0 then 200.0 else Float.max 0.0 (Float.min 200.0 (-.Float.log2 err))
 
-  let usec ms = Float.round (ms *. 1000.0)
-
   (* Chrome trace-event JSON (Perfetto-loadable).  One process holds the
      execution: ops are "X" complete events on per-region threads, noise /
      level / scale are process-wide counter tracks sampled at each op's end,
@@ -492,16 +516,6 @@ module Trace = struct
 
   let chrome_events ?(pid = 1) ?(name = "resbm execute") t =
     let evs = events t in
-    let meta =
-      Json.Obj
-        [
-          ("name", Json.String "process_name");
-          ("ph", Json.String "M");
-          ("pid", Json.Int pid);
-          ("tid", Json.Int 0);
-          ("args", Json.Obj [ ("name", Json.String name) ]);
-        ]
-    in
     let regions =
       List.sort_uniq compare
         (List.map (function Op e -> e.region | Instant i -> i.iregion) evs)
@@ -509,90 +523,43 @@ module Trace = struct
     let threads =
       List.concat_map
         (fun r ->
-          let tid = tid_of_region r in
-          let tname = if r < 0 then "(unattributed)" else Printf.sprintf "region %d" r in
-          [
-            Json.Obj
-              [
-                ("name", Json.String "thread_name");
-                ("ph", Json.String "M");
-                ("pid", Json.Int pid);
-                ("tid", Json.Int tid);
-                ("args", Json.Obj [ ("name", Json.String tname) ]);
-              ];
-            Json.Obj
-              [
-                ("name", Json.String "thread_sort_index");
-                ("ph", Json.String "M");
-                ("pid", Json.Int pid);
-                ("tid", Json.Int tid);
-                ("args", Json.Obj [ ("sort_index", Json.Int tid) ]);
-              ];
-          ])
+          Chrome.thread ~pid ~tid:(tid_of_region r)
+            (if r < 0 then "(unattributed)" else Printf.sprintf "region %d" r))
         regions
     in
     let body =
       List.concat_map
         (function
           | Op e ->
-              let op =
-                Json.Obj
-                  [
-                    ("name", Json.String e.op);
-                    ("cat", Json.String "op");
-                    ("ph", Json.String "X");
-                    ("ts", Json.Float (usec e.start_ms));
-                    ("dur", Json.Float (usec e.dur_ms));
-                    ("pid", Json.Int pid);
-                    ("tid", Json.Int (tid_of_region e.region));
-                    ( "args",
-                      Json.Obj
-                        [
-                          ("node", Json.Int e.node);
-                          ("region", Json.Int e.region);
-                          ("freq", Json.Int e.freq);
-                          ("level", Json.Int e.level);
-                          ("scale_bits", Json.Int e.scale_bits);
-                          ("size", Json.Int e.size);
-                          ("noise_before_bits", Json.Float (headroom_bits e.noise_before));
-                          ("noise_after_bits", Json.Float (headroom_bits e.noise_after));
-                        ] );
-                  ]
-              in
               let counter cname value =
-                Json.Obj
-                  [
-                    ("name", Json.String cname);
-                    ("cat", Json.String "state");
-                    ("ph", Json.String "C");
-                    ("ts", Json.Float (usec (e.start_ms +. e.dur_ms)));
-                    ("pid", Json.Int pid);
-                    ("args", Json.Obj [ (cname, value) ]);
-                  ]
+                Chrome.counter ~cat:"state" ~pid ~ts_ms:(e.start_ms +. e.dur_ms) cname value
               in
               [
-                op;
+                Chrome.complete ~cat:"op" ~pid ~tid:(tid_of_region e.region)
+                  ~start_ms:e.start_ms ~dur_ms:e.dur_ms e.op
+                  [
+                    ("node", Json.Int e.node);
+                    ("region", Json.Int e.region);
+                    ("freq", Json.Int e.freq);
+                    ("level", Json.Int e.level);
+                    ("scale_bits", Json.Int e.scale_bits);
+                    ("size", Json.Int e.size);
+                    ("noise_before_bits", Json.Float (headroom_bits e.noise_before));
+                    ("noise_after_bits", Json.Float (headroom_bits e.noise_after));
+                  ];
                 counter "noise_headroom_bits" (Json.Float (headroom_bits e.noise_after));
                 counter "level" (Json.Int e.level);
                 counter "scale_bits" (Json.Int e.scale_bits);
               ]
           | Instant i ->
               [
-                Json.Obj
-                  [
-                    ("name", Json.String i.iname);
-                    ("cat", Json.String "instant");
-                    ("ph", Json.String "i");
-                    ("ts", Json.Float (usec i.its_ms));
-                    ("pid", Json.Int pid);
-                    ("tid", Json.Int (tid_of_region i.iregion));
-                    ("s", Json.String "t");
-                    ("args", Json.Obj (("node", Json.Int i.inode) :: i.detail));
-                  ];
+                Chrome.instant ~cat:"instant" ~pid ~tid:(tid_of_region i.iregion)
+                  ~ts_ms:i.its_ms i.iname
+                  (("node", Json.Int i.inode) :: i.detail);
               ])
         evs
     in
-    (meta :: threads) @ body
+    (Chrome.process_name ~pid name :: threads) @ body
 
   let event_to_json = function
     | Op e ->
@@ -850,23 +817,18 @@ module Log = struct
   }
 
   type t = {
-    capacity : int;
     min_level : level;
     epoch : float;
-    buf : record option array;
-    mutable next : int;  (* total records kept, including overwritten *)
+    ring : record Ring.t;  (* guarded by [lock] *)
     mutable nfiltered : int;  (* records rejected below min_level *)
     lock : Mutex.t;
   }
 
   let create ?(capacity = 8192) ?(min_level = Debug) () =
-    if capacity < 1 then invalid_arg "Log.create: capacity must be >= 1";
     {
-      capacity;
       min_level;
       epoch = Unix.gettimeofday ();
-      buf = Array.make capacity None;
-      next = 0;
+      ring = Ring.create ~owner:"Log" capacity;
       nfiltered = 0;
       lock = Mutex.create ();
     }
@@ -881,7 +843,7 @@ module Log = struct
       Mutex.protect t.lock (fun () ->
           let r =
             {
-              lseq = t.next;
+              lseq = Ring.recorded t.ring;
               level;
               event;
               msg;
@@ -895,21 +857,13 @@ module Log = struct
               fields;
             }
           in
-          t.buf.(t.next mod t.capacity) <- Some r;
-          t.next <- t.next + 1)
+          Ring.push t.ring r)
     end
 
-  let recorded t = Mutex.protect t.lock (fun () -> t.next)
-  let dropped t = Mutex.protect t.lock (fun () -> max 0 (t.next - t.capacity))
+  let recorded t = Mutex.protect t.lock (fun () -> Ring.recorded t.ring)
+  let dropped t = Mutex.protect t.lock (fun () -> Ring.dropped t.ring)
   let filtered t = Mutex.protect t.lock (fun () -> t.nfiltered)
-
-  let records t =
-    Mutex.protect t.lock (fun () ->
-        let stored = min t.next t.capacity in
-        let first = t.next - stored in
-        List.filter_map
-          (fun i -> t.buf.((first + i) mod t.capacity))
-          (List.init stored (fun i -> i)))
+  let records t = Mutex.protect t.lock (fun () -> Ring.items t.ring)
 
   let record_to_json r =
     Json.Obj
@@ -1003,10 +957,10 @@ module Log = struct
   let chrome_events ?(compile_pid = 0) ?(exec_pid = 1) rs =
     List.map
       (fun r ->
-        let pid, ts, tid =
+        let pid, ts_ms, tid =
           match r.sim_ms with
-          | Some s -> (exec_pid, Trace.usec s, Trace.tid_of_region r.region)
-          | None -> (compile_pid, Trace.usec r.ts_ms, 0)
+          | Some s -> (exec_pid, s, Trace.tid_of_region r.region)
+          | None -> (compile_pid, r.ts_ms, 0)
         in
         let ctx =
           (if r.compile_id >= 0 then [ ("compile_id", Json.Int r.compile_id) ] else [])
@@ -1014,22 +968,11 @@ module Log = struct
           @ (if r.region >= 0 then [ ("region", Json.Int r.region) ] else [])
           @ if r.node >= 0 then [ ("node", Json.Int r.node) ] else []
         in
-        Json.Obj
-          [
-            ("name", Json.String r.event);
-            ("cat", Json.String ("log." ^ level_name r.level));
-            ("ph", Json.String "i");
-            ("ts", Json.Float ts);
-            ("pid", Json.Int pid);
-            ("tid", Json.Int tid);
-            ("s", Json.String "t");
-            ( "args",
-              Json.Obj
-                ((("level", Json.String (level_name r.level))
-                  :: (if r.msg <> "" then [ ("msg", Json.String r.msg) ] else []))
-                @ [ ("seq", Json.Int r.lseq); ("domain", Json.Int r.domain) ]
-                @ ctx @ r.fields) );
-          ])
+        Chrome.instant ~cat:("log." ^ level_name r.level) ~pid ~tid ~ts_ms r.event
+          ((("level", Json.String (level_name r.level))
+            :: (if r.msg <> "" then [ ("msg", Json.String r.msg) ] else []))
+          @ [ ("seq", Json.Int r.lseq); ("domain", Json.Int r.domain) ]
+          @ ctx @ r.fields))
       rs
 end
 
@@ -1145,68 +1088,27 @@ module Rt = struct
     match pools t with
     | [] -> []
     | ps ->
-        let meta =
-          Json.Obj
-            [
-              ("name", Json.String "process_name");
-              ("ph", Json.String "M");
-              ("pid", Json.Int pid);
-              ("tid", Json.Int 0);
-              ("args", Json.Obj [ ("name", Json.String name) ]);
-            ]
-        in
         let per_pool p =
-          let tid w = (p.p_seq * 64) + w.w_id + 1 in
           List.concat_map
             (fun w ->
-              let tname =
-                Printf.sprintf "%s#%d w%d (domain %d)" p.p_label p.p_seq w.w_id
-                  w.w_domain
-              in
-              Json.Obj
-                [
-                  ("name", Json.String "thread_name");
-                  ("ph", Json.String "M");
-                  ("pid", Json.Int pid);
-                  ("tid", Json.Int (tid w));
-                  ("args", Json.Obj [ ("name", Json.String tname) ]);
-                ]
-              :: Json.Obj
-                   [
-                     ("name", Json.String "thread_sort_index");
-                     ("ph", Json.String "M");
-                     ("pid", Json.Int pid);
-                     ("tid", Json.Int (tid w));
-                     ("args", Json.Obj [ ("sort_index", Json.Int (tid w)) ]);
-                   ]
-              :: List.map
-                   (fun s ->
-                     Json.Obj
-                       [
-                         ("name", Json.String (Printf.sprintf "task %d" s.t_index));
-                         ("cat", Json.String "pool");
-                         ("ph", Json.String "X");
-                         ("ts", Json.Float (Trace.usec (p.p_start_ms +. s.t_start_ms)));
-                         ("dur", Json.Float (Trace.usec s.t_dur_ms));
-                         ("pid", Json.Int pid);
-                         ("tid", Json.Int (tid w));
-                         ( "args",
-                           Json.Obj
-                             [
-                               ("index", Json.Int s.t_index);
-                               ("pool", Json.String p.p_label);
-                             ] );
-                       ])
-                   w.w_spans)
+              let tid = (p.p_seq * 64) + w.w_id + 1 in
+              Chrome.thread ~pid ~tid
+                (Printf.sprintf "%s#%d w%d (domain %d)" p.p_label p.p_seq w.w_id w.w_domain)
+              @ List.map
+                  (fun s ->
+                    Chrome.complete ~cat:"pool" ~pid ~tid
+                      ~start_ms:(p.p_start_ms +. s.t_start_ms) ~dur_ms:s.t_dur_ms
+                      (Printf.sprintf "task %d" s.t_index)
+                      [ ("index", Json.Int s.t_index); ("pool", Json.String p.p_label) ])
+                  w.w_spans)
             p.p_workers
         in
-        meta :: List.concat_map per_pool ps
+        Chrome.process_name ~pid name :: List.concat_map per_pool ps
 end
 
 (* Aggregate metrics: a registry of counters, gauges and log-bucketed
-   histograms, exposable as Prometheus text or JSON.  Unlike Profile
-   (which keeps every observation of a series), a histogram is constant
-   space: observations land in log2-spaced buckets with half-step
+   histograms, exposable as Prometheus text or JSON.  A histogram is
+   constant space: observations land in log2-spaced buckets with half-step
    resolution, and quantiles are estimated by interpolating inside the
    covering bucket — exact min/max are tracked so the estimate is always
    clamped into the observed range. *)
@@ -1933,27 +1835,14 @@ module Explain = struct
      scrubbed change by change. *)
   let perfetto_overlay ?(pid = 99) changes =
     let event i c =
-      Json.Obj
+      Chrome.event ~ph:"i" ~ts:(Json.Int (i * 10)) ~pid ~tid:1 ~scope:"g"
+        (path_to_string c.path)
         [
-          ("name", Json.String (path_to_string c.path));
-          ("ph", Json.String "i");
-          ("ts", Json.Int (i * 10));
-          ("pid", Json.Int pid);
-          ("tid", Json.Int 1);
-          ("s", Json.String "g");
-          ( "args",
-            Json.Obj
-              [
-                ("before", Option.value c.before ~default:Json.Null);
-                ("after", Option.value c.after ~default:Json.Null);
-              ] );
+          ("before", Option.value c.before ~default:Json.Null);
+          ("after", Option.value c.after ~default:Json.Null);
         ]
     in
-    Json.Obj
-      [
-        ("traceEvents", Json.List (List.mapi event changes));
-        ("displayTimeUnit", Json.String "ms");
-      ]
+    Chrome.trace (List.mapi event changes)
 end
 
 module Bench_diff = struct
@@ -2712,80 +2601,51 @@ end
    timeline can hold the compile pipeline (one pid) next to the simulated
    execution (another). *)
 let profile_chrome_events ?(pid = 0) ?(name = "resbm compile") p =
-  let meta =
-    Json.Obj
-      [
-        ("name", Json.String "process_name");
-        ("ph", Json.String "M");
-        ("pid", Json.Int pid);
-        ("tid", Json.Int 0);
-        ("args", Json.Obj [ ("name", Json.String name) ]);
-      ]
-  in
-  meta
+  Chrome.process_name ~pid name
   :: List.map
        (fun (s : Profile.span) ->
-         Json.Obj
-           [
-             ("name", Json.String s.name);
-             ("cat", Json.String "compile");
-             ("ph", Json.String "X");
-             ("ts", Json.Float (Trace.usec s.start_ms));
-             ("dur", Json.Float (Trace.usec s.dur_ms));
-             ("pid", Json.Int pid);
-             ("tid", Json.Int 0);
-             ("args", Json.Obj [ ("depth", Json.Int s.depth) ]);
-           ])
+         Chrome.complete ~cat:"compile" ~pid ~tid:0 ~start_ms:s.start_ms ~dur_ms:s.dur_ms
+           s.name
+           [ ("depth", Json.Int s.depth) ])
        (Profile.spans p)
 
-let chrome_trace events =
-  Json.Obj [ ("traceEvents", Json.List events); ("displayTimeUnit", Json.String "ms") ]
+let chrome_trace = Chrome.trace
 
 (* Ambient state is domain-local: a freshly spawned worker domain sees
-   None for all three handles, so helpers are silent there unless the
+   None for every handle, so helpers are silent there unless the
    work-pool explicitly re-installs the parent's handles (Par does this
-   for metrics, and gives each worker its own profile to merge later).
-   Within one domain the save/restore discipline is unchanged. *)
-let current_profile : Profile.t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+   for metrics and the log, and gives each worker its own profile to
+   merge later).  Within one domain, [scoped] binds a handle for the
+   extent of a callback and restores the previous binding after, also on
+   exceptions. *)
+let ambient () = Domain.DLS.new_key (fun () -> None)
 
-let current () = Domain.DLS.get current_profile
+let scoped key v f =
+  let saved = Domain.DLS.get key in
+  Domain.DLS.set key v;
+  Fun.protect f ~finally:(fun () -> Domain.DLS.set key saved)
 
-let with_profile p f =
-  let saved = Domain.DLS.get current_profile in
-  Domain.DLS.set current_profile (Some p);
-  Fun.protect f ~finally:(fun () -> Domain.DLS.set current_profile saved)
+let profile_key : Profile.t option Domain.DLS.key = ambient ()
+let current () = Domain.DLS.get profile_key
+let with_profile p = scoped profile_key (Some p)
 
 let incr ?by name =
   match current () with Some p -> Profile.incr ?by p name | None -> ()
 
-let observe name v =
-  match current () with Some p -> Profile.observe p name v | None -> ()
-
 let span name f = match current () with Some p -> Profile.span p name f | None -> f ()
 
-let current_trace_key : Trace.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let current_trace () = Domain.DLS.get current_trace_key
-
-let with_trace tr f =
-  let saved = Domain.DLS.get current_trace_key in
-  Domain.DLS.set current_trace_key (Some tr);
-  Fun.protect f ~finally:(fun () -> Domain.DLS.set current_trace_key saved)
+let trace_key : Trace.t option Domain.DLS.key = ambient ()
+let current_trace () = Domain.DLS.get trace_key
+let with_trace tr = scoped trace_key (Some tr)
 
 let trace_instant ~name ?node ?detail () =
   match current_trace () with
   | Some tr -> Trace.instant tr ~name ?node ?detail ()
   | None -> ()
 
-let current_metrics_key : Metrics.t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let current_metrics () = Domain.DLS.get current_metrics_key
-
-let with_metrics m f =
-  let saved = Domain.DLS.get current_metrics_key in
-  Domain.DLS.set current_metrics_key (Some m);
-  Fun.protect f ~finally:(fun () -> Domain.DLS.set current_metrics_key saved)
+let metrics_key : Metrics.t option Domain.DLS.key = ambient ()
+let current_metrics () = Domain.DLS.get metrics_key
+let with_metrics m = scoped metrics_key (Some m)
 
 let metric_incr ?by ?labels name =
   match current_metrics () with
@@ -2804,13 +2664,9 @@ let metric_set ?labels name v =
 
 (* --- ambient structured logging ------------------------------------------ *)
 
-let current_log_key : Log.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let current_log () = Domain.DLS.get current_log_key
-
-let with_log sink f =
-  let saved = Domain.DLS.get current_log_key in
-  Domain.DLS.set current_log_key (Some sink);
-  Fun.protect f ~finally:(fun () -> Domain.DLS.set current_log_key saved)
+let log_key : Log.t option Domain.DLS.key = ambient ()
+let current_log () = Domain.DLS.get log_key
+let with_log sink = scoped log_key (Some sink)
 
 (* Ambient log context: merged, never replaced — entering a pass inside a
    compile keeps the compile id.  When no sink is installed the context
@@ -2818,29 +2674,27 @@ let with_log sink f =
 type log_ctx = { lc_compile_id : int; lc_pass : string; lc_region : int; lc_node : int }
 
 let no_log_ctx = { lc_compile_id = -1; lc_pass = ""; lc_region = -1; lc_node = -1 }
-
-let current_log_ctx_key : log_ctx Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> no_log_ctx)
+let log_ctx_key : log_ctx Domain.DLS.key = Domain.DLS.new_key (fun () -> no_log_ctx)
 
 let with_log_ctx ?compile_id ?pass ?region ?node f =
-  match Domain.DLS.get current_log_key with
+  match current_log () with
   | None -> f ()
   | Some _ ->
-      let saved = Domain.DLS.get current_log_ctx_key in
-      Domain.DLS.set current_log_ctx_key
+      let outer = Domain.DLS.get log_ctx_key in
+      scoped log_ctx_key
         {
-          lc_compile_id = Option.value compile_id ~default:saved.lc_compile_id;
-          lc_pass = Option.value pass ~default:saved.lc_pass;
-          lc_region = Option.value region ~default:saved.lc_region;
-          lc_node = Option.value node ~default:saved.lc_node;
-        };
-      Fun.protect f ~finally:(fun () -> Domain.DLS.set current_log_ctx_key saved)
+          lc_compile_id = Option.value compile_id ~default:outer.lc_compile_id;
+          lc_pass = Option.value pass ~default:outer.lc_pass;
+          lc_region = Option.value region ~default:outer.lc_region;
+          lc_node = Option.value node ~default:outer.lc_node;
+        }
+        f
 
 let log ~level ~event ?(msg = "") ?fields () =
-  match Domain.DLS.get current_log_key with
+  match current_log () with
   | None -> ()
   | Some sink ->
-      let ctx = Domain.DLS.get current_log_ctx_key in
+      let ctx = Domain.DLS.get log_ctx_key in
       let sim_ms = Option.map Trace.clock_ms (current_trace ()) in
       Log.record sink ~level ~event ~msg ?sim_ms ~compile_id:ctx.lc_compile_id
         ~pass:ctx.lc_pass ~region:ctx.lc_region ~node:ctx.lc_node ?fields ()
@@ -2852,13 +2706,9 @@ let log_error ~event ?fields msg = log ~level:Log.Error ~event ~msg ?fields ()
 
 (* --- ambient runtime telemetry ------------------------------------------- *)
 
-let current_rt_key : Rt.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let current_rt () = Domain.DLS.get current_rt_key
-
-let with_rt rt f =
-  let saved = Domain.DLS.get current_rt_key in
-  Domain.DLS.set current_rt_key (Some rt);
-  Fun.protect f ~finally:(fun () -> Domain.DLS.set current_rt_key saved)
+let rt_key : Rt.t option Domain.DLS.key = ambient ()
+let current_rt () = Domain.DLS.get rt_key
+let with_rt rt = scoped rt_key (Some rt)
 
 (* A profile span that additionally publishes the phase's GC pressure
    into the ambient metrics registry.  The deltas go to Metrics only —

@@ -1,13 +1,17 @@
 (** Lightweight observability for the compile pipeline.
 
-    Three primitives — wall-clock {e spans}, monotonic {e counters} and
-    float {e series} — collected into a {!Profile.t} and serialised as
-    JSON with no external dependencies.  The compiler driver installs a
-    profile as the ambient collector for the dynamic extent of one
-    compile ({!with_profile}); instrumentation sites deep in the pipeline
-    (min-cut engine, planners) record through the module-level
-    conveniences, which are no-ops when no profile is installed, so
-    un-profiled callers pay only an option check. *)
+    Each kind of fact has one home.  Wall-clock {e spans} and monotonic
+    {e counters} are collected into a {!Profile.t}; per-event values
+    (min-cut sizes, latencies) are {!Metrics} histograms, constant space
+    however long the run; {!Trace} and {!Log} are bounded flight
+    recorders.  Everything serialises as JSON with no external
+    dependencies, and every timeline exports to one Chrome trace-event
+    dialect.  The compiler driver installs a profile as the ambient
+    collector for the dynamic extent of one compile ({!with_profile});
+    instrumentation sites deep in the pipeline (min-cut engine, planners)
+    record through the module-level conveniences, which are no-ops when
+    no collector is installed, so uninstrumented callers pay only an
+    option check. *)
 
 module Json : sig
   type t =
@@ -56,32 +60,21 @@ module Profile : sig
   val counter : t -> string -> int
   (** Current value of a counter; 0 when never incremented. *)
 
-  val observe : t -> string -> float -> unit
-  (** Append one observation to a named series. *)
-
-  val series : t -> string -> float list
-  (** Observations of one series in insertion order; [[]] when absent. *)
-
   val spans : t -> span list
   (** Completed spans in chronological (start time) order. *)
 
   val counters : t -> (string * int) list
   (** All counters, sorted by name. *)
 
-  val all_series : t -> (string * float list) list
-  (** All series, sorted by name, observations in insertion order. *)
-
   val to_json : t -> Json.t
-  (** [{"spans": [{name, depth, start_ms, dur_ms}],
-       "counters": {name: int},
-       "series": {name: {count, sum, min, max, values}}}] *)
+  (** [{"spans": [{name, depth, start_ms, dur_ms}], "counters": {name: int}}] *)
 
   val pp : Format.formatter -> t -> unit
   (** Top-level phase durations and counters, one per line. *)
 
   val merge : into:t -> t -> unit
   (** Fold a worker domain's profile into [into]: spans re-anchored to
-      [into]'s epoch, counters and series merged by name.  Only call
+      [into]'s epoch, counters merged by name.  Only call
       after the worker has joined — neither side may be mutating. *)
 end
 
@@ -729,9 +722,6 @@ val current : unit -> Profile.t option
 
 val incr : ?by:int -> string -> unit
 (** Increment a counter on the ambient profile; no-op when none. *)
-
-val observe : string -> float -> unit
-(** Append to a series on the ambient profile; no-op when none. *)
 
 val span : string -> (unit -> 'a) -> 'a
 (** Time [f] as a span on the ambient profile; just runs [f] when none. *)

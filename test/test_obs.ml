@@ -27,15 +27,6 @@ let counter_semantics () =
     [ ("x", 42); ("y", 1) ]
     (Obs.Profile.counters p)
 
-let series_semantics () =
-  let p = Obs.Profile.create () in
-  check (Alcotest.list (Alcotest.float 0.0)) "absent series empty" []
-    (Obs.Profile.series p "v");
-  Obs.Profile.observe p "v" 1.5;
-  Obs.Profile.observe p "v" 2.5;
-  check (Alcotest.list (Alcotest.float 0.0)) "insertion order" [ 1.5; 2.5 ]
-    (Obs.Profile.series p "v")
-
 (* --- Spans --------------------------------------------------------------- *)
 
 let span_semantics () =
@@ -69,19 +60,15 @@ let ambient_noop_and_install () =
   checkb "no ambient profile by default" true (Obs.current () = None);
   (* conveniences must be harmless without a profile *)
   Obs.incr "nope";
-  Obs.observe "nope" 1.0;
   checki "span passes through" 3 (Obs.span "s" (fun () -> 3));
   let p = Obs.Profile.create () in
   Obs.with_profile p (fun () ->
       Obs.incr "hit";
-      Obs.observe "val" 2.0;
       ignore (Obs.span "timed" (fun () -> ()));
       checkb "installed" true
         (match Obs.current () with Some q -> q == p | None -> false));
   checkb "restored after" true (Obs.current () = None);
   checki "counter recorded" 1 (Obs.Profile.counter p "hit");
-  check (Alcotest.list (Alcotest.float 0.0)) "series recorded" [ 2.0 ]
-    (Obs.Profile.series p "val");
   checki "span recorded" 1 (List.length (Obs.Profile.spans p))
 
 let ambient_maxflow_counters () =
@@ -142,25 +129,14 @@ let json_float_roundtrip =
 let json_profile_serialisation () =
   let p = Obs.Profile.create () in
   Obs.Profile.incr ~by:3 p "c";
-  Obs.Profile.observe p "s" 1.0;
-  Obs.Profile.observe p "s" 3.0;
   ignore (Obs.Profile.span p "phase" (fun () -> ()));
   let json = Obs.Profile.to_json p in
   (match Obs.Json.of_string (Obs.Json.to_string json) with
   | Ok v -> checkb "profile JSON round-trips" true (v = json)
   | Error m -> Alcotest.fail m);
-  (match Obs.Json.member "counters" json with
+  match Obs.Json.member "counters" json with
   | Some (Obs.Json.Obj [ ("c", Obs.Json.Int 3) ]) -> ()
-  | _ -> Alcotest.fail "counters object malformed");
-  match Obs.Json.member "series" json with
-  | Some (Obs.Json.Obj [ ("s", series) ]) -> (
-      (match Obs.Json.member "count" series with
-      | Some (Obs.Json.Int 2) -> ()
-      | _ -> Alcotest.fail "series count");
-      match Obs.Json.member "sum" series with
-      | Some (Obs.Json.Float sum) -> check_float ~eps:1e-9 "series sum" 4.0 sum
-      | _ -> Alcotest.fail "series sum")
-  | _ -> Alcotest.fail "series object malformed"
+  | _ -> Alcotest.fail "counters object malformed"
 
 (* --- Compile-pipeline profile regression ----------------------------------- *)
 
@@ -180,8 +156,6 @@ let compile_profile_regression () =
   checkb "maxflow ran" true (Obs.Profile.counter p "maxflow.runs" > 0);
   checkb "bfs phases counted" true (Obs.Profile.counter p "maxflow.bfs_phases" > 0);
   checkb "augmenting paths counted" true (Obs.Profile.counter p "maxflow.aug_paths" > 0);
-  checkb "per-region cut values recorded" true (Obs.Profile.series p "smoplc.cut_value" <> []);
-  checkb "DP dimensions recorded" true (Obs.Profile.series p "btsmgr.dp_regions" <> []);
   (* the full report serialises and parses back identically *)
   let json = Resbm.Report.to_json report in
   match Obs.Json.of_string (Obs.Json.to_string json) with
@@ -201,11 +175,201 @@ let ms_opt_hoists_reported () =
     maxed.Resbm.Report.ms_opt_hoists
     (Obs.Profile.counter maxed.Resbm.Report.profile "ms_opt.hoists")
 
+(* --- Cut values live in Metrics histograms ----------------------------------- *)
+
+let cut_histograms_count_every_cut () =
+  let lowered = Nn.Lowering.lower Nn.Model.tiny in
+  List.iter
+    (fun jobs ->
+      let m = Obs.Metrics.create () in
+      let _, report =
+        Obs.with_metrics m (fun () ->
+            Resbm.Variants.compile ~jobs Resbm.Variants.resbm Ckks.Params.default
+              lowered.Nn.Lowering.dfg)
+      in
+      let cuts name = Obs.Profile.counter report.Resbm.Report.profile name in
+      let observed name =
+        match Obs.Metrics.histogram m name with Some h -> h.Obs.Metrics.hcount | None -> 0
+      in
+      let label what = Printf.sprintf "jobs=%d: %s" jobs what in
+      checkb (label "smoplc cut") true (cuts "smoplc.cuts" > 0);
+      checki (label "one smoplc_cut_value per cut") (cuts "smoplc.cuts")
+        (observed "smoplc_cut_value");
+      checki (label "one smoplc_region_nodes per cut") (cuts "smoplc.cuts")
+        (observed "smoplc_region_nodes");
+      checki (label "one btsplc_cut_value per cut") (cuts "btsplc.cuts")
+        (observed "btsplc_cut_value");
+      checki (label "one btsplc_subgraph_nodes per cut") (cuts "btsplc.cuts")
+        (observed "btsplc_subgraph_nodes"))
+    [ 1; 4 ]
+
+(* The profile keeps spans and counters only, so its size tracks the
+   number of phases, not the number of min-cuts (ResNet20 runs ~7,000). *)
+let resnet20_profile_is_bounded () =
+  let lowered = Nn.Lowering.lower Nn.Model.resnet20 in
+  let _, report =
+    Resbm.Variants.(compile resbm) Ckks.Params.default lowered.Nn.Lowering.dfg
+  in
+  match Obs.Json.member "profile" (Resbm.Report.to_json report) with
+  | Some profile ->
+      let bytes = String.length (Obs.Json.to_string profile) in
+      checkb (Printf.sprintf "profile JSON is %d bytes, bound 4096" bytes) true (bytes < 4096)
+  | None -> Alcotest.fail "report JSON has no profile"
+
+(* --- Chrome exporters ---------------------------------------------------------- *)
+
+(* Hand-built inputs on fixed clocks; the expected strings pin every
+   exporter byte for byte, field order included. *)
+let chrome_trace_input () =
+  let tr = Obs.Trace.create ~capacity:16 () in
+  Obs.Trace.record tr ~op:"encode" ~cost_ms:0.25 ~level:9 ~scale_bits:40 ~size:2 ~noise:1e-7 ();
+  Obs.Trace.set_ctx tr (Some { Obs.Trace.node = 3; region = 0; freq = 2; cost_ms = 1.5 });
+  Obs.Trace.record tr ~op:"mul_cc" ~noise_before:1e-7 ~level:8 ~scale_bits:80 ~size:3
+    ~noise:3e-6 ();
+  Obs.Trace.instant tr ~name:"rescale" ~detail:[ ("to_level", Obs.Json.Int 7) ] ();
+  Obs.Trace.set_ctx tr (Some { Obs.Trace.node = 5; region = 2; freq = 1; cost_ms = 0.125 });
+  Obs.Trace.record tr ~op:"bootstrap" ~level:12 ~scale_bits:40 ~size:2 ~noise:0.0 ();
+  Obs.Trace.instant tr ~name:"bootstrap" ~node:9 ();
+  Obs.Trace.set_ctx tr None;
+  Obs.Trace.instant tr ~name:"fhe_error" ~detail:[ ("cause", Obs.Json.String "level") ] ();
+  tr
+
+let chrome_log_input =
+  let r lseq level event msg ts_ms sim_ms compile_id pass region node domain fields =
+    { Obs.Log.lseq; level; event; msg; ts_ms; sim_ms; compile_id; pass; region; node; domain;
+      fields }
+  in
+  [
+    r 0 Obs.Log.Info "plan_cache.miss" "plan not cached" 1.25 None 4 "" (-1) (-1) 0
+      [ ("manager", Obs.Json.String "ReSBM") ];
+    r 1 Obs.Log.Debug "pass.enter" "" 2.5 None 4 "region_build" (-1) (-1) 1 [];
+    r 2 Obs.Log.Warn "recovery.retry" "retrying" 3.75 (Some 12.0625) (-1) "" 3 17 0
+      [ ("attempt", Obs.Json.Int 2) ];
+    r 3 Obs.Log.Error "fhe.error" "level underflow" 4.0 (Some 0.5) (-1) "" (-1) 2 0 [];
+  ]
+
+(* Host-clock exporters are pinned with every "ts"/"dur" masked to null. *)
+let rec mask_clocks = function
+  | Obs.Json.Obj fs ->
+      Obs.Json.Obj
+        (List.map
+           (fun (k, v) -> (k, if k = "ts" || k = "dur" then Obs.Json.Null else mask_clocks v))
+           fs)
+  | Obs.Json.List l -> Obs.Json.List (List.map mask_clocks l)
+  | j -> j
+
+let check_events label expected events =
+  check Alcotest.(list string) label expected (List.map Obs.Json.to_string events)
+
+let chrome_simulated_clock_exporters () =
+  check_events "Trace.chrome_events"
+    [
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"resbm execute\"}}";
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"(unattributed)\"}}";
+      "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"sort_index\":1}}";
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,\"args\":{\"name\":\"region 0\"}}";
+      "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":2,\"args\":{\"sort_index\":2}}";
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":4,\"args\":{\"name\":\"region 2\"}}";
+      "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":4,\"args\":{\"sort_index\":4}}";
+      "{\"name\":\"encode\",\"cat\":\"op\",\"ph\":\"X\",\"ts\":0.0,\"dur\":2.5e+02,\"pid\":1,\"tid\":1,\"args\":{\"node\":-1,\"region\":-1,\"freq\":1,\"level\":9,\"scale_bits\":40,\"size\":2,\"noise_before_bits\":2e+02,\"noise_after_bits\":23.253496664211536}}";
+      "{\"name\":\"noise_headroom_bits\",\"cat\":\"state\",\"ph\":\"C\",\"ts\":2.5e+02,\"pid\":1,\"args\":{\"noise_headroom_bits\":23.253496664211536}}";
+      "{\"name\":\"level\",\"cat\":\"state\",\"ph\":\"C\",\"ts\":2.5e+02,\"pid\":1,\"args\":{\"level\":9}}";
+      "{\"name\":\"scale_bits\",\"cat\":\"state\",\"ph\":\"C\",\"ts\":2.5e+02,\"pid\":1,\"args\":{\"scale_bits\":40}}";
+      "{\"name\":\"mul_cc\",\"cat\":\"op\",\"ph\":\"X\",\"ts\":2.5e+02,\"dur\":1.5e+03,\"pid\":1,\"tid\":2,\"args\":{\"node\":3,\"region\":0,\"freq\":2,\"level\":8,\"scale_bits\":80,\"size\":3,\"noise_before_bits\":23.253496664211536,\"noise_after_bits\":18.346606068603016}}";
+      "{\"name\":\"noise_headroom_bits\",\"cat\":\"state\",\"ph\":\"C\",\"ts\":1.75e+03,\"pid\":1,\"args\":{\"noise_headroom_bits\":18.346606068603016}}";
+      "{\"name\":\"level\",\"cat\":\"state\",\"ph\":\"C\",\"ts\":1.75e+03,\"pid\":1,\"args\":{\"level\":8}}";
+      "{\"name\":\"scale_bits\",\"cat\":\"state\",\"ph\":\"C\",\"ts\":1.75e+03,\"pid\":1,\"args\":{\"scale_bits\":80}}";
+      "{\"name\":\"rescale\",\"cat\":\"instant\",\"ph\":\"i\",\"ts\":1.75e+03,\"pid\":1,\"tid\":2,\"s\":\"t\",\"args\":{\"node\":3,\"to_level\":7}}";
+      "{\"name\":\"bootstrap\",\"cat\":\"op\",\"ph\":\"X\",\"ts\":1.75e+03,\"dur\":125.0,\"pid\":1,\"tid\":4,\"args\":{\"node\":5,\"region\":2,\"freq\":1,\"level\":12,\"scale_bits\":40,\"size\":2,\"noise_before_bits\":2e+02,\"noise_after_bits\":2e+02}}";
+      "{\"name\":\"noise_headroom_bits\",\"cat\":\"state\",\"ph\":\"C\",\"ts\":1875.0,\"pid\":1,\"args\":{\"noise_headroom_bits\":2e+02}}";
+      "{\"name\":\"level\",\"cat\":\"state\",\"ph\":\"C\",\"ts\":1875.0,\"pid\":1,\"args\":{\"level\":12}}";
+      "{\"name\":\"scale_bits\",\"cat\":\"state\",\"ph\":\"C\",\"ts\":1875.0,\"pid\":1,\"args\":{\"scale_bits\":40}}";
+      "{\"name\":\"bootstrap\",\"cat\":\"instant\",\"ph\":\"i\",\"ts\":1875.0,\"pid\":1,\"tid\":4,\"s\":\"t\",\"args\":{\"node\":9}}";
+      "{\"name\":\"fhe_error\",\"cat\":\"instant\",\"ph\":\"i\",\"ts\":1875.0,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"node\":-1,\"cause\":\"level\"}}";
+    ]
+    (Obs.Trace.chrome_events (chrome_trace_input ()));
+  check_events "Trace.chrome_events ~pid ~name on an empty trace"
+    [
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":7,\"tid\":0,\"args\":{\"name\":\"x\"}}";
+    ]
+    (Obs.Trace.chrome_events ~pid:7 ~name:"x" (Obs.Trace.create ()));
+  check_events "Log.chrome_events"
+    [
+      "{\"name\":\"plan_cache.miss\",\"cat\":\"log.info\",\"ph\":\"i\",\"ts\":1.25e+03,\"pid\":0,\"tid\":0,\"s\":\"t\",\"args\":{\"level\":\"info\",\"msg\":\"plan not cached\",\"seq\":0,\"domain\":0,\"compile_id\":4,\"manager\":\"ReSBM\"}}";
+      "{\"name\":\"pass.enter\",\"cat\":\"log.debug\",\"ph\":\"i\",\"ts\":2.5e+03,\"pid\":0,\"tid\":0,\"s\":\"t\",\"args\":{\"level\":\"debug\",\"seq\":1,\"domain\":1,\"compile_id\":4,\"pass\":\"region_build\"}}";
+      "{\"name\":\"recovery.retry\",\"cat\":\"log.warn\",\"ph\":\"i\",\"ts\":12063.0,\"pid\":1,\"tid\":5,\"s\":\"t\",\"args\":{\"level\":\"warn\",\"msg\":\"retrying\",\"seq\":2,\"domain\":0,\"region\":3,\"node\":17,\"attempt\":2}}";
+      "{\"name\":\"fhe.error\",\"cat\":\"log.error\",\"ph\":\"i\",\"ts\":5e+02,\"pid\":1,\"tid\":1,\"s\":\"t\",\"args\":{\"level\":\"error\",\"msg\":\"level underflow\",\"seq\":3,\"domain\":0,\"node\":2}}";
+    ]
+    (Obs.Log.chrome_events chrome_log_input);
+  check_events "Log.chrome_events ~compile_pid ~exec_pid"
+    [
+      "{\"name\":\"plan_cache.miss\",\"cat\":\"log.info\",\"ph\":\"i\",\"ts\":1.25e+03,\"pid\":5,\"tid\":0,\"s\":\"t\",\"args\":{\"level\":\"info\",\"msg\":\"plan not cached\",\"seq\":0,\"domain\":0,\"compile_id\":4,\"manager\":\"ReSBM\"}}";
+      "{\"name\":\"pass.enter\",\"cat\":\"log.debug\",\"ph\":\"i\",\"ts\":2.5e+03,\"pid\":5,\"tid\":0,\"s\":\"t\",\"args\":{\"level\":\"debug\",\"seq\":1,\"domain\":1,\"compile_id\":4,\"pass\":\"region_build\"}}";
+      "{\"name\":\"recovery.retry\",\"cat\":\"log.warn\",\"ph\":\"i\",\"ts\":12063.0,\"pid\":6,\"tid\":5,\"s\":\"t\",\"args\":{\"level\":\"warn\",\"msg\":\"retrying\",\"seq\":2,\"domain\":0,\"region\":3,\"node\":17,\"attempt\":2}}";
+      "{\"name\":\"fhe.error\",\"cat\":\"log.error\",\"ph\":\"i\",\"ts\":5e+02,\"pid\":6,\"tid\":1,\"s\":\"t\",\"args\":{\"level\":\"error\",\"msg\":\"level underflow\",\"seq\":3,\"domain\":0,\"node\":2}}";
+    ]
+    (Obs.Log.chrome_events ~compile_pid:5 ~exec_pid:6 chrome_log_input);
+  let change path before after = { Obs.Explain.path; before; after } in
+  check_events "Explain.perfetto_overlay"
+    [
+      "{\"traceEvents\":[{\"name\":\"a/0\",\"ph\":\"i\",\"ts\":0,\"pid\":99,\"tid\":1,\"s\":\"g\",\"args\":{\"before\":1,\"after\":2}},{\"name\":\"b\",\"ph\":\"i\",\"ts\":10,\"pid\":99,\"tid\":1,\"s\":\"g\",\"args\":{\"before\":null,\"after\":\"x\"}}],\"displayTimeUnit\":\"ms\"}";
+    ]
+    [
+      Obs.Explain.perfetto_overlay
+        [
+          change [ "a"; "0" ] (Some (Obs.Json.Int 1)) (Some (Obs.Json.Int 2));
+          change [ "b" ] None (Some (Obs.Json.String "x"));
+        ];
+    ]
+
+let chrome_host_clock_exporters () =
+  (* Nested spans only: siblings could share a start microsecond and
+     swap places. *)
+  let p = Obs.Profile.create () in
+  Obs.Profile.span p "plan" (fun () -> Obs.Profile.span p "plan.dp" (fun () -> ()));
+  check_events "profile_chrome_events"
+    [
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"resbm compile\"}}";
+      "{\"name\":\"plan\",\"cat\":\"compile\",\"ph\":\"X\",\"ts\":null,\"dur\":null,\"pid\":0,\"tid\":0,\"args\":{\"depth\":0}}";
+      "{\"name\":\"plan.dp\",\"cat\":\"compile\",\"ph\":\"X\",\"ts\":null,\"dur\":null,\"pid\":0,\"tid\":0,\"args\":{\"depth\":1}}";
+    ]
+    (List.map mask_clocks (Obs.profile_chrome_events p));
+  let rt = Obs.Rt.create () in
+  check_events "Rt.chrome_events with no pools" [] (Obs.Rt.chrome_events rt);
+  let worker id domain spans =
+    {
+      Obs.Rt.w_id = id;
+      w_domain = domain;
+      w_tasks = List.length spans;
+      w_busy_ms = 1.0;
+      w_idle_ms = 0.5;
+      w_queue_wait_ms = 0.25;
+      w_spans =
+        List.map (fun (i, s, d) -> { Obs.Rt.t_index = i; t_start_ms = s; t_dur_ms = d }) spans;
+    }
+  in
+  Obs.Rt.record_pool rt ~label:"btsmgr" ~jobs:2 ~tasks:3 ~wall_ms:2.0
+    [ worker 0 1 [ (0, 0.0, 0.5); (2, 0.75, 0.25) ]; worker 1 2 [ (1, 0.125, 0.625) ] ];
+  Obs.Rt.record_pool rt ~label:"smoplc" ~jobs:1 ~tasks:0 ~wall_ms:0.0 [ worker 0 1 [] ];
+  check_events "Rt.chrome_events"
+    [
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\"args\":{\"name\":\"resbm planner pool\"}}";
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":1,\"args\":{\"name\":\"btsmgr#0 w0 (domain 1)\"}}";
+      "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":2,\"tid\":1,\"args\":{\"sort_index\":1}}";
+      "{\"name\":\"task 0\",\"cat\":\"pool\",\"ph\":\"X\",\"ts\":null,\"dur\":null,\"pid\":2,\"tid\":1,\"args\":{\"index\":0,\"pool\":\"btsmgr\"}}";
+      "{\"name\":\"task 2\",\"cat\":\"pool\",\"ph\":\"X\",\"ts\":null,\"dur\":null,\"pid\":2,\"tid\":1,\"args\":{\"index\":2,\"pool\":\"btsmgr\"}}";
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":2,\"args\":{\"name\":\"btsmgr#0 w1 (domain 2)\"}}";
+      "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":2,\"tid\":2,\"args\":{\"sort_index\":2}}";
+      "{\"name\":\"task 1\",\"cat\":\"pool\",\"ph\":\"X\",\"ts\":null,\"dur\":null,\"pid\":2,\"tid\":2,\"args\":{\"index\":1,\"pool\":\"btsmgr\"}}";
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":65,\"args\":{\"name\":\"smoplc#1 w0 (domain 1)\"}}";
+      "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":2,\"tid\":65,\"args\":{\"sort_index\":65}}";
+    ]
+    (List.map mask_clocks (Obs.Rt.chrome_events rt))
+
 let suite =
   [
     case "timer: monotone" timer_monotone;
     case "counter: semantics" counter_semantics;
-    case "series: semantics" series_semantics;
     case "span: nesting and results" span_semantics;
     case "span: recorded on exception" span_records_on_exception;
     case "ambient: no-op without profile, records with one" ambient_noop_and_install;
@@ -217,4 +381,8 @@ let suite =
     case "json: profile serialisation" json_profile_serialisation;
     case "profile: tiny-model compile regression" compile_profile_regression;
     case "profile: ms_opt hoists reported" ms_opt_hoists_reported;
+    case "metrics: cut histograms count every cut" cut_histograms_count_every_cut;
+    case "profile: resnet20 profile JSON is bounded" resnet20_profile_is_bounded;
+    case "chrome: simulated-clock exporters pinned" chrome_simulated_clock_exporters;
+    case "chrome: host-clock exporters pinned" chrome_host_clock_exporters;
   ]

@@ -167,6 +167,35 @@ let warm_hit_graph_is_private () =
   checkb "second hit unaffected by mutation of the first" true
     (fingerprint warm2 = fingerprint cold)
 
+let warm_hits_get_fresh_profiles () =
+  (* Certification re-enters the returned report's profile.  A hit that
+     handed out the cache entry's own profile would grow it by the
+     certify spans on every hit and report the cold compile's planner
+     steps; each hit must start from an empty profile instead. *)
+  let cache = Resbm.Plan_cache.create () in
+  let compile () =
+    let lowered = Nn.Lowering.lower Nn.Model.tiny in
+    snd
+      (Resbm.Variants.compile ~certify:true ~cache Resbm.Variants.resbm
+         (Ckks.Params.with_l_max prm 9) lowered.Nn.Lowering.dfg)
+  in
+  let steps (r : Resbm.Report.t) = Resbm.Driver.planner_steps r.Resbm.Report.profile in
+  checkb "the cold compile planned" true (steps (compile ()) > 0);
+  for hit = 1 to 2 do
+    let warm = compile () in
+    let label what = Printf.sprintf "hit %d: %s" hit what in
+    checki (label "no planner steps") 0 (steps warm);
+    check
+      Alcotest.(list string)
+      (label "exactly the certify spans")
+      [ "certify"; "certify.cuts"; "certify.levels"; "certify.noise" ]
+      (List.sort compare
+         (List.map
+            (fun (s : Obs.Profile.span) -> s.Obs.Profile.name)
+            (Obs.Profile.spans warm.Resbm.Report.profile)))
+  done;
+  checki "two hits" 2 (Resbm.Plan_cache.stats cache).Resbm.Plan_cache.hits
+
 (* --- key sensitivity ------------------------------------------------------ *)
 
 let key_sensitivity () =
@@ -293,6 +322,7 @@ let suite =
     jobs_identity_random;
     case "warm cache compiles are bit-identical" warm_cache_identity;
     case "warm hits hand out private graphs" warm_hit_graph_is_private;
+    case "warm hits hand out fresh profiles" warm_hits_get_fresh_profiles;
     case "cache key tracks every compile input" key_sensitivity;
     case "memo replans only dirty regions" memo_reuses_clean_regions;
     case "region hashes localise edits" region_hashes_localise_edits;
