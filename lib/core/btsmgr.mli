@@ -56,7 +56,7 @@ val plan :
   ?fuel:Fuel.t ->
   ?segment_scan:[ `Full | `Adjacent ] ->
   ?jobs:int ->
-  ?memo:Region_eval.Memo.t * (int -> int64) ->
+  ?memo:Region_eval.Memo.t ->
   Region.t ->
   Ckks.Params.t ->
   plan
@@ -76,9 +76,11 @@ val plan :
     may meter a few extra segment evaluations past the DP's stopping
     point, so exhaustion can trigger at a different step than at [jobs=1].
 
-    [memo] is a cross-compile {!Region_eval.Memo} plus per-region content
-    hashes (see {!Plan_cache}): region solutions are reused across
-    compiles for regions whose hash is unchanged.
+    [memo] is the {!Region_eval.Memo} store of region solutions, keyed
+    by canonical region shape (default: a fresh store for this compile).
+    Either way the repeated blocks of the model are solved once; a store
+    kept across compiles ({!Plan_cache.memo}) also serves every region
+    whose shape an earlier compile already solved.
 
     @raise No_plan when no feasible bootstrapping plan exists (e.g. a
     single region consumes more than [l_max] levels).

@@ -22,3 +22,16 @@ let pp ppf t =
     t.edges
 
 let sink_side_mem t id = List.mem id t.sink_side
+
+let map_edge f = function
+  | Internal { tail; head } -> Internal { tail = f tail; head = f head }
+  | Boundary_in { head } -> Boundary_in { head = f head }
+  | Boundary_out { tail } -> Boundary_out { tail = f tail }
+
+let map_ids f t =
+  {
+    t with
+    edges = List.map (map_edge f) t.edges;
+    sink_side = List.map f t.sink_side;
+    node_of = Array.map (fun id -> if id < 0 then id else f id) t.node_of;
+  }

@@ -37,3 +37,8 @@ type t = {
 val pp : Format.formatter -> t -> unit
 
 val sink_side_mem : t -> int -> bool
+
+val map_ids : (int -> int) -> t -> t
+(** Rename every DFG node id the cut names ([edges], [sink_side] and the
+    non-negative entries of [node_of]); [value] and [cert], which live in
+    flow-network terms, are shared unchanged. *)

@@ -85,8 +85,10 @@ val compile :
     result after: a hit returns a bit-identical plan and report (with
     [compile_ms] set to the lookup time, and [fallbacks] to this call's
     argument) without running any phase — including [verify_each] —
-    while a miss also threads the cache's incremental region memo into
-    the DP so unchanged regions of edited models are not re-solved.
+    while a miss plans against the cache's region-solution store
+    ({!Plan_cache.memo}), the incremental tier: every region whose
+    canonical shape an earlier compile already solved, such as the
+    unchanged regions of an edited model, is not re-solved.
     @raise Btsmgr.No_plan when no feasible plan exists for [l_max].
     @raise Plan.Apply_error when plan materialisation fails.
     @raise Fuel.Exhausted when a caller-supplied step budget runs out.

@@ -288,8 +288,10 @@ let digest prm ~(managed : Dfg.t) (report : Report.t) =
         let k = add n in
         Hashtbl.replace t k (1 + Option.value (Hashtbl.find_opt t k) ~default:0))
       ns;
+    (* sorted as strings, as the JSON has always been ("10" before "2") *)
     Obj
-      (List.sort compare (Hashtbl.fold (fun k c acc -> (string_of_int k, Int c) :: acc) t []))
+      (List.sort compare
+         (List.map (fun (k, c) -> (string_of_int k, Int c)) (Det.sorted_bindings t)))
   in
   let region_of id =
     if id < Array.length report.Report.region_of then report.Report.region_of.(id)
@@ -401,10 +403,7 @@ let digest prm ~(managed : Dfg.t) (report : Report.t) =
       | _ -> ())
     live;
   let management =
-    List.sort compare
-      (Hashtbl.fold
-         (fun k (count, v) acc -> (k, List [ v; Int count ]) :: acc)
-         mgmt [])
+    List.map (fun (k, (count, v)) -> (k, List [ v; Int count ])) (Det.sorted_bindings mgmt)
   in
   let stats = report.Report.stats in
   Obj

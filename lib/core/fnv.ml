@@ -17,3 +17,17 @@ let mix_string h s =
   !h
 
 let hex h = Printf.sprintf "%016Lx" h
+
+(* Sampling the cost model's surface means a rebuilt binary with
+   different Table 2 numbers cannot resurrect stale cache entries. *)
+let cost_model =
+  lazy
+    (let h = ref offset_basis in
+     List.iteri
+       (fun i op ->
+         h := mix_int !h i;
+         for level = 0 to 24 do
+           h := mix_int64 !h (Int64.bits_of_float (Ckks.Cost_model.cost op ~level))
+         done)
+       Ckks.Cost_model.all_ops;
+     !h)

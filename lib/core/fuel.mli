@@ -12,6 +12,13 @@
     are deterministic, so whether a compile degrades — and to which tier —
     is reproducible across machines and runs.
 
+    Only work actually done is metered: a min-cut served from the region
+    memo ({!Region_eval.Memo}, keyed by canonical region shape) spends
+    nothing.  Since that memo is shared by the repeated blocks of a
+    model, a compile's planner steps ({!Driver.planner_steps}) are far
+    fewer than when every region was solved on its own; budgets
+    calibrated from older profiles remain valid upper bounds.
+
     The counter is atomic: one budget may be shared across the worker
     domains of a parallel plan and total accounting stays exact.  Note
     that with [jobs > 1] the {e order} of spends depends on scheduling,

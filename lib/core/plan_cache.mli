@@ -10,9 +10,12 @@
     - an optional on-disk tier (one JSON file per key under [dir]),
       surviving processes — reports loaded from disk carry an empty
       profile and recomputed stats, deterministic fields identical;
-    - an incremental tier: a {!Region_eval.Memo} keyed by region
-      {e content} hash ({!region_hashes}), so re-planning an edited model
-      re-solves only regions whose hash changed.
+    - an incremental tier: the {!Region_eval.Memo} store of region
+      solutions, keyed by canonical, id-relative region shape.  It is the
+      same store every cold compile plans against, kept across compiles,
+      so re-planning an edited model re-solves only regions whose shape
+      no earlier compile solved (plus, as in any compile, each new shape
+      once however often the model repeats it).
 
     Hits and misses are counted on the ambient {!Obs} metrics as
     [plan_cache_{hits,misses,evictions}_total] (lookups run outside any
@@ -54,15 +57,8 @@ val store : t -> string -> Fhe_ir.Dfg.t -> Report.t -> unit
     used entries above capacity; writes through to the disk tier. *)
 
 val memo : t -> Region_eval.Memo.t
-(** The incremental region-solution memo, to thread into
-    {!Driver.compile} / {!Btsmgr.plan}. *)
-
-val region_hashes : Ckks.Params.t -> Region.t -> int64 array
-(** Per-region content hashes for the incremental tier: members (ids,
-    kinds, freqs, args), external producer kind/freq, live-out shape,
-    plus parameters and cost-model fingerprint.  Node ids are included
-    deliberately — memoised cuts name nodes by id and only transfer when
-    the region's ids are unchanged. *)
+(** The incremental tier's region-solution store, to thread into
+    {!Btsmgr.plan} ({!Driver.compile} does so on a miss). *)
 
 val dir : t -> string option
 

@@ -10,8 +10,10 @@ type result = {
   bts_subgraph : int list;
 }
 
+(* [subject] is the region index in a per-compile [cache] and the
+   interned shape id in a {!Memo}. *)
 type key = {
-  region : int;
+  subject : int;
   entry_level : int;
   rescales : int;
   bts : int option;
@@ -19,42 +21,195 @@ type key = {
   bts_mode : bts_mode;
 }
 
-(* The per-compile cache is lock-protected so parallel segment scans can
-   share it.  Concurrent misses may compute the same entry twice; both
-   computes are deterministic and equal, so first-add-wins is safe. *)
-type cache = { tbl : (key, result) Hashtbl.t; lock : Mutex.t }
-
-let create_cache () = { tbl = Hashtbl.create 256; lock = Mutex.create () }
-
-(* A cross-compile memo keyed by region *content* rather than region
-   index: entries survive model edits for every region whose hash is
-   unchanged, which is what makes re-planning after a single-layer edit
-   incremental.  The hash (supplied by the caller, see
-   {!Plan_cache.region_hashes}) covers the region's members, their
-   external producers and live-out shape, the CKKS parameters and the
-   cost-model fingerprint — everything [compute] reads besides the
-   explicit key fields below. *)
+(* The region-solution store, keyed by canonical region *shape* rather
+   than by node ids: a region's members and their external predecessors
+   (the set S of everything [compute] reads), relabelled by rank in
+   ascending id order.  The relabelling is monotone, so every id-ordered
+   drain ([Det.sorted_keys] in [cut_tails], BTSPLC's producer order) and
+   every summation order in [compute] is the same for any two regions
+   with equal shapes: a stored solution, mapped back through the
+   rank -> id array, is bit-identical to recomputing it.  Shapes are
+   exact strings, interned to small ints once per region and store, so no
+   hash collision can ever alias two shapes.  Results are stored in rank
+   space.  Concurrent misses may compute the same entry twice; both
+   computes are equal, so first-add-wins is safe. *)
 module Memo = struct
-  type mkey = {
-    m_hash : int64;
-    m_entry_level : int;
-    m_rescales : int;
-    m_bts : int option;
-    m_smo : smo_mode;
-    m_bts_mode : bts_mode;
-  }
-
   type t = {
-    tbl : (mkey, result) Hashtbl.t;
+    shapes : (string, int) Hashtbl.t;
+    tbl : (key, result) Hashtbl.t;
     lock : Mutex.t;
     mutable hits : int;
     mutable misses : int;
   }
 
-  let create () = { tbl = Hashtbl.create 512; lock = Mutex.create (); hits = 0; misses = 0 }
+  let create () =
+    {
+      shapes = Hashtbl.create 256;
+      tbl = Hashtbl.create 512;
+      lock = Mutex.create ();
+      hits = 0;
+      misses = 0;
+    }
+
   let stats t = Mutex.protect t.lock (fun () -> (t.hits, t.misses))
   let size t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl)
+
+  let intern t shape =
+    Mutex.protect t.lock (fun () ->
+        match Hashtbl.find_opt t.shapes shape with
+        | Some id -> id
+        | None ->
+            let id = Hashtbl.length t.shapes in
+            Hashtbl.add t.shapes shape id;
+            id)
+
+  let find t k =
+    Mutex.protect t.lock (fun () ->
+        let r = Hashtbl.find_opt t.tbl k in
+        if r = None then t.misses <- t.misses + 1 else t.hits <- t.hits + 1;
+        r)
+
+  let add t k r =
+    Mutex.protect t.lock (fun () -> if not (Hashtbl.mem t.tbl k) then Hashtbl.add t.tbl k r)
+
+  let entries t =
+    Mutex.protect t.lock (fun () ->
+        let shape_of = Array.make (Hashtbl.length t.shapes) "" in
+        Det.iter_sorted (fun shape id -> shape_of.(id) <- shape) t.shapes;
+        Det.sorted_keys t.tbl
+        |> List.map (fun k ->
+               ( shape_of.(k.subject),
+                 k.entry_level,
+                 k.rescales,
+                 k.bts,
+                 k.smo_mode,
+                 k.bts_mode ))
+        |> List.sort compare)
 end
+
+(* One region seen through its canonical shape. *)
+type view = {
+  ids : int array;  (* rank -> node id *)
+  rank_of : (int, int) Hashtbl.t;  (* node id -> rank *)
+  shape : string;
+  store : Memo.t;  (* the store [sid] was interned in *)
+  sid : int;
+}
+
+let add_int b v =
+  Buffer.add_string b (string_of_int v);
+  Buffer.add_char b ','
+
+(* Kinds with [Input]/[Const] names erased: names never reach [compute]. *)
+let kind_tag (k : Op.kind) =
+  let opt = Option.value ~default:(-1) in
+  match k with
+  | Op.Input { name = _; level; scale_bits } ->
+      Printf.sprintf "input:%d:%d" (opt level) (opt scale_bits)
+  | Op.Const _ -> "const"
+  | k -> Op.name k
+
+(* The canonical shape of [region]: the parameter and cost-model context,
+   |S|, the member ranks in topological order, then per member its kind,
+   freq, args (as ranks), successors in use-list order (rank in-region,
+   ['o'] outside) and DFG-output flag, then per external predecessor (in
+   rank order) its kind and freq. *)
+let canonical regioned (prm : Ckks.Params.t) region =
+  let g = regioned.Region.dfg in
+  let members = Region.members regioned region in
+  let inside id = regioned.Region.region_of.(id) = region in
+  let externals =
+    Array.to_list members
+    |> List.concat_map (fun id -> List.filter (fun p -> not (inside p)) (Dfg.preds g id))
+    |> List.sort_uniq compare
+  in
+  let ids =
+    Array.of_list (List.merge compare (List.sort compare (Array.to_list members)) externals)
+  in
+  let rank_of = Hashtbl.create (Array.length ids) in
+  Array.iteri (fun r id -> Hashtbl.add rank_of id r) ids;
+  let rank = Hashtbl.find rank_of in
+  let b = Buffer.create 1024 in
+  List.iter (add_int b)
+    [
+      prm.Ckks.Params.log2_degree;
+      prm.Ckks.Params.scale_bits;
+      prm.Ckks.Params.waterline_bits;
+      prm.Ckks.Params.q0_bits;
+      prm.Ckks.Params.l_max;
+      prm.Ckks.Params.input_level;
+      prm.Ckks.Params.input_scale_bits;
+      prm.Ckks.Params.bootstrap_depth;
+    ];
+  Buffer.add_string b (Fnv.hex (Lazy.force Fnv.cost_model));
+  Buffer.add_char b ',';
+  add_int b (Array.length ids);
+  Array.iter (fun id -> add_int b (rank id)) members;
+  let outputs = Dfg.outputs g in
+  Array.iter
+    (fun id ->
+      let n = Dfg.node g id in
+      Buffer.add_char b '|';
+      Buffer.add_string b (kind_tag n.Dfg.kind);
+      Buffer.add_char b ';';
+      add_int b n.Dfg.freq;
+      Array.iter (fun a -> add_int b (rank a)) n.Dfg.args;
+      Buffer.add_char b '>';
+      List.iter
+        (fun u -> if inside u then add_int b (rank u) else Buffer.add_char b 'o')
+        (Dfg.succs g id);
+      Buffer.add_char b (if List.mem id outputs then '!' else '.'))
+    members;
+  List.iter
+    (fun id ->
+      let n = Dfg.node g id in
+      Buffer.add_char b '|';
+      Buffer.add_string b (kind_tag n.Dfg.kind);
+      Buffer.add_char b ';';
+      add_int b n.Dfg.freq)
+    externals;
+  (ids, rank_of, Buffer.contents b)
+
+let shape_key regioned prm region =
+  let _, _, shape = canonical regioned prm region in
+  shape
+
+(* Per-compile state over one regioned DFG: each region's view, built on
+   first use, and the solutions already mapped to real ids, keyed by
+   region index.  Lock-protected so parallel segment scans can share it. *)
+type cache = {
+  own : Memo.t;  (* the store of [eval] calls that pass no [memo] *)
+  views : (int, view) Hashtbl.t;
+  results : (key, result) Hashtbl.t;
+  lock : Mutex.t;
+}
+
+let create_cache () =
+  {
+    own = Memo.create ();
+    views = Hashtbl.create 64;
+    results = Hashtbl.create 256;
+    lock = Mutex.create ();
+  }
+
+let view cache regioned prm store region =
+  match Mutex.protect cache.lock (fun () -> Hashtbl.find_opt cache.views region) with
+  | Some v when v.store == store -> v
+  | Some v -> { v with store; sid = Memo.intern store v.shape }
+  | None ->
+      let ids, rank_of, shape = canonical regioned prm region in
+      let v = { ids; rank_of; shape; store; sid = Memo.intern store shape } in
+      Mutex.protect cache.lock (fun () ->
+          if not (Hashtbl.mem cache.views region) then Hashtbl.add cache.views region v);
+      v
+
+let map_result f r =
+  {
+    r with
+    smo_cut = Option.map (Cut.map_ids f) r.smo_cut;
+    bts_cut = Option.map (Cut.map_ids f) r.bts_cut;
+    bts_subgraph = List.map f r.bts_subgraph;
+  }
 
 exception Infeasible of string
 
@@ -327,59 +482,30 @@ let compute ?fuel regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~rescale
 
 let eval ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
     ~rescales ~bts =
-  let key = { region; entry_level; rescales; bts; smo_mode; bts_mode } in
-  let cache_add r =
-    Mutex.protect cache.lock (fun () ->
-        if not (Hashtbl.mem cache.tbl key) then Hashtbl.add cache.tbl key r)
-  in
-  match Mutex.protect cache.lock (fun () -> Hashtbl.find_opt cache.tbl key) with
+  let key = { subject = region; entry_level; rescales; bts; smo_mode; bts_mode } in
+  match Mutex.protect cache.lock (fun () -> Hashtbl.find_opt cache.results key) with
   | Some r -> r
-  | None -> (
-      let mkey =
-        Option.map
-          (fun (m, hash_of) ->
-            ( m,
-              {
-                Memo.m_hash = hash_of region;
-                m_entry_level = entry_level;
-                m_rescales = rescales;
-                m_bts = bts;
-                m_smo = smo_mode;
-                m_bts_mode = bts_mode;
-              } ))
-          memo
+  | None ->
+      let store = Option.value memo ~default:cache.own in
+      let v = view cache regioned prm store region in
+      let skey = { key with subject = v.sid } in
+      let r =
+        match Memo.find store skey with
+        | Some canonical ->
+            Obs.incr "region_eval.memo_hits";
+            map_result (Array.get v.ids) canonical
+        | None ->
+            (* Fuel is deliberately absent from both keys: a hit costs no
+               steps, and cache population order is deterministic, so
+               degraded compiles stay reproducible. *)
+            Obs.incr "region_eval.computes";
+            let r =
+              compute ?fuel regioned prm ~smo_mode ~bts_mode ~region ~entry_level
+                ~rescales ~bts
+            in
+            Memo.add store skey (map_result (Hashtbl.find v.rank_of) r);
+            r
       in
-      let from_memo =
-        match mkey with
-        | None -> None
-        | Some (m, k) ->
-            Mutex.protect m.Memo.lock (fun () ->
-                match Hashtbl.find_opt m.Memo.tbl k with
-                | Some r ->
-                    m.Memo.hits <- m.Memo.hits + 1;
-                    Some r
-                | None ->
-                    m.Memo.misses <- m.Memo.misses + 1;
-                    None)
-      in
-      match from_memo with
-      | Some r ->
-          Obs.incr "region_eval.memo_hits";
-          cache_add r;
-          r
-      | None ->
-          (* Fuel is deliberately absent from both keys: a hit costs no
-             steps, and cache population order is deterministic, so
-             degraded compiles stay reproducible. *)
-          Obs.incr "region_eval.computes";
-          let r =
-            compute ?fuel regioned prm ~smo_mode ~bts_mode ~region ~entry_level
-              ~rescales ~bts
-          in
-          cache_add r;
-          (match mkey with
-          | Some (m, k) ->
-              Mutex.protect m.Memo.lock (fun () ->
-                  if not (Hashtbl.mem m.Memo.tbl k) then Hashtbl.add m.Memo.tbl k r)
-          | None -> ());
-          r)
+      Mutex.protect cache.lock (fun () ->
+          if not (Hashtbl.mem cache.results key) then Hashtbl.add cache.results key r);
+      r

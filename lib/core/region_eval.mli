@@ -30,17 +30,32 @@ type result = {
   bts_subgraph : int list;  (** Level-0 members used for bootstrap planning. *)
 }
 
-type cache
-(** Per-compile memo, keyed by region index and candidate plan.
-    Lock-protected: safe to share across the worker domains of one
-    parallel segment scan. *)
+(** Region solutions are memoised on the region's canonical {e shape},
+    not on its node ids.  Let S be the region's members plus their
+    external predecessors, relabelled by rank in ascending id order.  The
+    shape is an exact string (compared in full, never hashed) of:
+    the CKKS parameters and the cost-model fingerprint; |S|; the member
+    ranks in topological order; per member its kind (with [Input] and
+    [Const] names erased), [freq], args as ranks, successors in use-list
+    order (rank if in-region, one "outside" marker otherwise) and whether
+    it is a DFG output; per external predecessor its kind and [freq].
+    The memo key is the shape plus [entry_level], [rescales], [bts],
+    [smo_mode] and [bts_mode].
 
-val create_cache : unit -> cache
+    Solutions are stored in rank space.  A hit maps [Cut.edges],
+    [sink_side], [node_of] ([-1] stays [-1]) and [bts_subgraph] back
+    through the region's rank -> id array; cut values and certificates
+    live in flow-network terms and are shared unchanged.  The relabelling
+    is monotone, so every id-ordered drain and summation inside the
+    evaluation is the same for two regions of equal shape: a hit is
+    bit-identical to recomputing.  The repeated blocks of one model (and
+    the unchanged regions of an edited one) are therefore solved once. *)
 
-(** Cross-compile memo keyed by region {e content} hash instead of region
-    index, so entries survive model edits for all regions whose hash did
-    not change — the incremental tier of the plan cache.  The hash is
-    supplied by the caller per region (see {!Plan_cache.region_hashes}). *)
+(** The solution store.  One store serves a cold compile (shared by the
+    repeated blocks of the model) and, kept across compiles by
+    {!Plan_cache}, the incremental tier.  Lock-protected: safe to share
+    across worker domains; concurrent misses may compute one entry twice,
+    and the first add wins (both computes are equal). *)
 module Memo : sig
   type t
 
@@ -51,13 +66,30 @@ module Memo : sig
 
   val size : t -> int
   (** Number of memoised region solutions. *)
+
+  val entries : t -> (string * int * int * int option * smo_mode * bts_mode) list
+  (** Every memoised problem as [(shape, entry_level, rescales, bts,
+      smo_mode, bts_mode)], sorted; [shape] is a {!shape_key}. *)
 end
+
+type cache
+(** Per-compile state over one regioned DFG: each region's canonical view
+    and the solutions already mapped to its node ids, keyed by region
+    index.  Lock-protected, like {!Memo.t}. *)
+
+val create_cache : unit -> cache
+(** A cache whose own fresh store serves every {!eval} given no [memo]. *)
+
+val shape_key : Region.t -> Ckks.Params.t -> int -> string
+(** [shape_key regioned prm region] is the canonical shape described
+    above: two regions share memoised solutions exactly when their shape
+    keys are equal. *)
 
 exception Infeasible of string
 
 val eval :
   ?fuel:Fuel.t ->
-  ?memo:Memo.t * (int -> int64) ->
+  ?memo:Memo.t ->
   cache ->
   Region.t ->
   Ckks.Params.t ->
@@ -68,11 +100,11 @@ val eval :
   rescales:int ->
   bts:int option ->
   result
-(** [fuel] (default unlimited) is spent by the min-cut solvers on a cache
-    miss; hits are free, and fuel is not part of the memo key, so degraded
-    compiles remain deterministic.  [memo] is an optional cross-compile
-    memo plus the content hash of each region index; consulted after the
-    per-compile [cache], populated on compute.
+(** [fuel] (default unlimited) is spent by the min-cut solvers on a
+    store miss; hits are free, and fuel is not part of the memo key, so
+    degraded compiles remain deterministic.  [memo] (default: the
+    [cache]'s own store) is consulted after the per-compile [cache] and
+    populated on compute.
     @raise Infeasible when the region cannot run at the requested level
     (e.g. rescaling at level 0).
     @raise Fuel.Exhausted when the step budget runs out. *)

@@ -1644,12 +1644,17 @@ module Explain = struct
         let prev = Option.value (Hashtbl.find_opt buckets r.bucket) ~default:[] in
         Hashtbl.replace buckets r.bucket ({ leaf_label = r.label; leaf_cost = r.cost } :: prev))
       rows;
+    (* Drained in label order; labels are unique, so the cost sorts below
+       alone fix the output order. *)
+    let sorted tbl =
+      List.sort (fun (a, _) (b, _) -> compare a b) (List.of_seq (Hashtbl.to_seq tbl))
+    in
     let groups =
-      Hashtbl.fold
-        (fun glabel buckets acc ->
+      List.map
+        (fun (glabel, buckets) ->
           let bs =
-            Hashtbl.fold
-              (fun blabel leaves acc ->
+            List.map
+              (fun (blabel, leaves) ->
                 let leaves =
                   List.sort
                     (fun a b -> by_cost a.leaf_cost a.leaf_label b.leaf_cost b.leaf_label)
@@ -1669,9 +1674,8 @@ module Explain = struct
                   leaves = shown;
                   folded;
                   folded_cost;
-                }
-                :: acc)
-              buckets []
+                })
+              (sorted buckets)
           in
           let bs =
             List.sort
@@ -1680,9 +1684,8 @@ module Explain = struct
           in
           let cost = List.fold_left (fun s b -> s +. b.bucket_cost) 0.0 bs in
           let count = List.fold_left (fun s b -> s + b.bucket_count) 0 bs in
-          { group_label = glabel; group_cost = cost; group_count = count; buckets = bs }
-          :: acc)
-        group_tbl []
+          { group_label = glabel; group_cost = cost; group_count = count; buckets = bs })
+        (sorted group_tbl)
     in
     let groups =
       List.sort

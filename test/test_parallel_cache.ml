@@ -255,17 +255,109 @@ let memo_reuses_clean_regions () =
   checkb "memo-assisted plan equals the from-scratch plan" true
     (fingerprint incremental = fingerprint scratch)
 
-let region_hashes_localise_edits () =
-  let r3 = Resbm.Region.build (layered ~layers:3) in
-  let r4 = Resbm.Region.build (layered ~layers:4) in
-  let h3 = Resbm.Plan_cache.region_hashes prm r3 in
-  let h4 = Resbm.Plan_cache.region_hashes prm r4 in
-  checkb "partitions are non-trivial" true (Array.length h3 >= 2);
-  checkb "first region's content hash survives the tail edit" true
-    (Array.length h4 >= Array.length h3 && h3.(0) = h4.(0));
-  checkb "params are part of the content" true
-    (let h3' = Resbm.Plan_cache.region_hashes (Ckks.Params.with_l_max prm 9) r3 in
-     h3'.(0) <> h3.(0))
+(* --- canonical region shapes ----------------------------------------------- *)
+
+let shape r region = Resbm.Region_eval.shape_key r prm region
+
+(* One two-region block after the input: a squared, rotated and
+   self-added value (region 1), then a plaintext product (region 2).
+   Every knob below perturbs exactly one thing the shape must see. *)
+let block ?(input = "x") ?(weight = "w") ?(freq = 1) ?(rot = 1) ?(self_add = false)
+    ?(rotated_out = false) () =
+  let g = Dfg.create () in
+  let x = Dfg.input g input in
+  let sq = Dfg.mul_cc g x x in
+  let r = Dfg.rotate g sq rot in
+  let s = if self_add then Dfg.add_cc g ~freq r r else Dfg.add_cc g ~freq sq r in
+  let p = Dfg.mul_cp g s (Dfg.const g weight) in
+  Dfg.set_outputs g (if rotated_out then [ p; r ] else [ p ]);
+  Resbm.Region.build g
+
+let shape_key_is_id_relative () =
+  (* layered ~layers:4 repeats one (mul_cc, mul_cp) block at shifted ids;
+     the first block reads the input and the last holds the DFG output *)
+  let r = Resbm.Region.build (layered ~layers:4) in
+  checkb "id-shifted copies share a shape" true (shape r 3 = shape r 5);
+  checkb "id-shifted copies share a shape (plaintext product)" true
+    (shape r 2 = shape r 4 && shape r 4 = shape r 6);
+  checkb "the live-out region differs" true (shape r 8 <> shape r 6);
+  let base = block () in
+  let differs label b = checkb label true (shape b 1 <> shape base 1) in
+  checkb "names are erased" true
+    (List.for_all
+       (fun region -> shape (block ~input:"y" ~weight:"v" ()) region = shape base region)
+       [ 0; 1; 2 ]);
+  differs "a freq is part of the shape" (block ~freq:3 ());
+  differs "a kind is part of the shape" (block ~rot:2 ());
+  differs "an edge is part of the shape" (block ~self_add:true ());
+  differs "live-out status is part of the shape" (block ~rotated_out:true ());
+  checkb "params are part of the shape" true
+    (Resbm.Region_eval.shape_key base (Ckks.Params.with_l_max prm 9) 1 <> shape base 1);
+  let r20 = Resbm.Region.build (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg in
+  let count = r20.Resbm.Region.count in
+  let distinct =
+    List.length (List.sort_uniq compare (List.init count (shape r20)))
+  in
+  checkb
+    (Printf.sprintf "resnet20: %d distinct shapes < %d regions" distinct count)
+    true (distinct < count)
+
+(* Every problem the DP solved, re-evaluated on every region of the same
+   shape: the answer served from the shared store must be bitwise equal to
+   a fresh compute with a fresh store. *)
+let memo_hits_equal_fresh_computes () =
+  let bits = Int64.bits_of_float in
+  let same_cut (a : Resbm.Cut.t option) (b : Resbm.Cut.t option) =
+    match (a, b) with
+    | None, None -> true
+    | Some a, Some b ->
+        bits a.Resbm.Cut.value = bits b.Resbm.Cut.value
+        && a.Resbm.Cut.edges = b.Resbm.Cut.edges
+        && a.Resbm.Cut.sink_side = b.Resbm.Cut.sink_side
+        && a.Resbm.Cut.node_of = b.Resbm.Cut.node_of
+        && a.Resbm.Cut.cert = b.Resbm.Cut.cert
+    | _ -> false
+  in
+  let walk label g jobs =
+    let r = Resbm.Region.build g in
+    let store = Resbm.Region_eval.Memo.create () in
+    ignore (Resbm.Btsmgr.plan ~jobs ~memo:store r prm);
+    let hits, _ = Resbm.Region_eval.Memo.stats store in
+    checkb (Printf.sprintf "%s -j %d: the shared store was hit" label jobs) true (hits > 0);
+    let shapes = Array.init r.Resbm.Region.count (shape r) in
+    let shared = Resbm.Region_eval.create_cache () in
+    let checked = ref 0 in
+    List.iter
+      (fun (s, entry_level, rescales, bts, smo_mode, bts_mode) ->
+        Array.iteri
+          (fun region s' ->
+            if s' = s then begin
+              let eval ?memo cache =
+                Resbm.Region_eval.eval ?memo cache r prm ~smo_mode ~bts_mode ~region
+                  ~entry_level ~rescales ~bts
+              in
+              let a = eval ~memo:store shared in
+              let b = eval (Resbm.Region_eval.create_cache ()) in
+              incr checked;
+              if
+                not
+                  (bits a.Resbm.Region_eval.latency_ms = bits b.Resbm.Region_eval.latency_ms
+                  && same_cut a.Resbm.Region_eval.smo_cut b.Resbm.Region_eval.smo_cut
+                  && same_cut a.Resbm.Region_eval.bts_cut b.Resbm.Region_eval.bts_cut
+                  && a.Resbm.Region_eval.bts_subgraph = b.Resbm.Region_eval.bts_subgraph)
+              then
+                Alcotest.failf "%s -j %d: region %d (entry %d, %d rescales) differs" label
+                  jobs region entry_level rescales
+            end)
+          shapes)
+      (Resbm.Region_eval.Memo.entries store);
+    checkb (label ^ ": every region re-solved") true (!checked >= r.Resbm.Region.count - 1)
+  in
+  List.iter
+    (fun jobs ->
+      walk "resnet20" (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg jobs;
+      walk "layered" (layered ~layers:4) jobs)
+    [ 1; 4 ]
 
 (* --- on-disk tier ---------------------------------------------------------- *)
 
@@ -325,7 +417,8 @@ let suite =
     case "warm hits hand out fresh profiles" warm_hits_get_fresh_profiles;
     case "cache key tracks every compile input" key_sensitivity;
     case "memo replans only dirty regions" memo_reuses_clean_regions;
-    case "region hashes localise edits" region_hashes_localise_edits;
+    case "shape keys are id-relative and exact" shape_key_is_id_relative;
+    case "every memo hit equals a fresh compute" memo_hits_equal_fresh_computes;
     case "disk tier round-trips across cache instances" disk_tier_survives_processes;
     case "lru eviction respects capacity" lru_eviction_is_bounded;
   ]
