@@ -70,6 +70,31 @@ let or_die = function
       Format.eprintf "error: %s@." m;
       exit 1
 
+(* A comma-separated flag value, each entry trimmed and parsed; an empty
+   or unparsable entry is a usage error. *)
+let comma_list parse s =
+  List.map
+    (fun x ->
+      match String.trim x with
+      | "" -> or_die (Error (`Msg (Printf.sprintf "empty entry in %S" s)))
+      | x -> or_die (parse x))
+    (String.split_on_char ',' s)
+
+let parse_int x =
+  match int_of_string_opt x with
+  | Some n -> Ok n
+  | None -> Error (`Msg (Printf.sprintf "not an integer: %S" x))
+
+(* Compile failures that are the input's fault rather than a crash:
+   verification refutations exit 2, an infeasible l_max exits 1. *)
+let or_die_compile f =
+  try f () with
+  | Resbm.Driver.Verification_failed (pass, diags) ->
+      Format.eprintf "error: verification failed after pass %s:@." pass;
+      List.iter (fun d -> Format.eprintf "%a@." Analysis.Diag.pp d) diags;
+      exit 2
+  | Resbm.Btsmgr.No_plan msg -> or_die (Error (`Msg msg))
+
 let report_json ~model ~l_max report =
   match Resbm.Report.to_json report with
   | Obs.Json.Obj fields ->
@@ -82,28 +107,20 @@ let write_json path json =
   output_char oc '\n';
   close_out oc
 
-(* --- flight files (structured logs + metrics + worker telemetry) ----------- *)
+(* --- flight files (structured logs + metrics) ------------------------------ *)
 
-(* One collector bundle for [--log-out]: a log sink, a metrics registry
-   and a runtime-telemetry collector installed ambiently around the
-   command's work and exported together as a "flight" file that [resbm
-   health] can judge offline. *)
-type flight = { fl_log : Obs.Log.t; fl_metrics : Obs.Metrics.t; fl_rt : Obs.Rt.t }
+(* One collector bundle for [--log-out]: a log sink and a metrics registry
+   installed ambiently around the command's work and exported together as
+   a "flight" file that [resbm health] can judge offline. *)
+type flight = { fl_log : Obs.Log.t; fl_metrics : Obs.Metrics.t }
 
 let with_flight log_out f =
   match log_out with
   | None -> f None
   | Some _ ->
-      let fl =
-        {
-          fl_log = Obs.Log.create ();
-          fl_metrics = Obs.Metrics.create ();
-          fl_rt = Obs.Rt.create ();
-        }
-      in
+      let fl = { fl_log = Obs.Log.create (); fl_metrics = Obs.Metrics.create () } in
       Obs.with_log fl.fl_log @@ fun () ->
-      Obs.with_metrics fl.fl_metrics @@ fun () ->
-      Obs.with_rt fl.fl_rt @@ fun () -> f (Some fl)
+      Obs.with_metrics fl.fl_metrics @@ fun () -> f (Some fl)
 
 let flight_json fl =
   (* Stamp the drop gauge at export time so the flight file carries its
@@ -116,7 +133,6 @@ let flight_json fl =
       ( "records",
         Obs.Json.List (List.map Obs.Log.record_to_json (Obs.Log.records fl.fl_log)) );
       ("metrics", Obs.Metrics.to_json fl.fl_metrics);
-      ("rt", Obs.Rt.to_json fl.fl_rt);
     ]
 
 let write_flight path fl =
@@ -125,8 +141,7 @@ let write_flight path fl =
     (List.length (Obs.Log.records fl.fl_log))
     (Obs.Log.dropped fl.fl_log) path
 
-let flight_chrome_events fl =
-  Obs.Log.chrome_events (Obs.Log.records fl.fl_log) @ Obs.Rt.chrome_events fl.fl_rt
+let flight_chrome_events fl = Obs.Log.chrome_events (Obs.Log.records fl.fl_log)
 
 let load_flight path =
   let content =
@@ -179,10 +194,10 @@ let log_out_arg =
     & opt (some string) None
     & info [ "log-out" ] ~docv:"FILE"
         ~doc:
-          "Collect structured logs, aggregate metrics and worker telemetry during \
-           the command and write them as a flight file to $(docv) (judged offline \
-           by $(b,resbm health --in)).  Chrome trace exports made by the same \
-           invocation gain the log instants and per-domain worker tracks.")
+          "Collect structured logs and aggregate metrics during the command and \
+           write them as a flight file to $(docv) (judged offline by $(b,resbm \
+           health --in)).  Chrome trace exports made by the same invocation gain \
+           the log instants.")
 
 let profile_arg =
   Arg.(
@@ -192,16 +207,6 @@ let profile_arg =
         ~doc:
           "Write the compilation profile (per-phase wall times, min-cut and planner \
            counters) as JSON to $(docv).")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Fan the planner's per-region work across $(docv) domains (default: \
-           $(b,RESBM_JOBS), else 1).  The plan and report are bit-identical at \
-           every job count.")
 
 (* The CLI's plan cache honours RESBM_CACHE_DIR out of the box so that
    repeated compiles of unchanged models across processes are warm; an
@@ -256,8 +261,7 @@ let traced_inference prm lowered ~managed ~(report : Resbm.Report.t) ~dim =
   (tr, outcome)
 
 (* Compile spans (pid 0) and the simulated execution (pid 1) in one
-   Perfetto timeline; with [?flight], log instants and the planner-pool
-   worker tracks (pid 2) join them. *)
+   Perfetto timeline; with [?flight], log instants join them. *)
 let write_chrome_trace ?flight path (report : Resbm.Report.t) tr =
   let extra = match flight with None -> [] | Some fl -> flight_chrome_events fl in
   write_json path
@@ -367,26 +371,20 @@ let list_cmd =
 
 let compile_cmd =
   let run model manager l_max verify_each verbose emit_path profile_path trace_out robust
-      fuel jobs cache_flag log_out =
+      fuel cache_flag log_out =
     with_flight log_out @@ fun fl ->
     let model = or_die (resolve_model model) in
     let prm = params_for l_max in
     let lowered = Nn.Lowering.lower model in
     let cache = cache_of ~flag:cache_flag in
     let managed, report =
-      try
-        if robust then
-          Resbm.Driver.compile_robust ?fuel_steps:fuel ~verify_each ?jobs ?cache prm
-            lowered.Nn.Lowering.dfg
-        else
-          let manager = or_die (resolve_manager manager) in
-          Resbm.Variants.compile ~verify_each ?jobs ?cache manager prm
-            lowered.Nn.Lowering.dfg
-      with
-      | Resbm.Driver.Verification_failed (pass, diags) ->
-          Format.eprintf "error: verification failed after pass %s:@." pass;
-          List.iter (fun d -> Format.eprintf "%a@." Analysis.Diag.pp d) diags;
-          exit 2
+      or_die_compile (fun () ->
+          if robust then
+            Resbm.Driver.compile_robust ?fuel_steps:fuel ~verify_each ?cache prm
+              lowered.Nn.Lowering.dfg
+          else
+            let manager = or_die (resolve_manager manager) in
+            Resbm.Variants.compile ~verify_each ?cache manager prm lowered.Nn.Lowering.dfg)
     in
     List.iter
       (fun (tier, reason) ->
@@ -503,7 +501,7 @@ let compile_cmd =
     (Cmd.info "compile" ~doc:"Compile a model and print the management report.")
     Term.(
       const run $ model_arg $ manager_arg $ l_max_arg $ verify_each $ verbose $ emit_path
-      $ profile_arg $ trace_out $ robust $ fuel $ jobs_arg $ cache_arg $ log_out_arg)
+      $ profile_arg $ trace_out $ robust $ fuel $ cache_arg $ log_out_arg)
 
 (* --- run -------------------------------------------------------------------- *)
 
@@ -513,7 +511,9 @@ let run_cmd =
     let manager = or_die (resolve_manager manager) in
     let prm = params_for l_max in
     let lowered = Nn.Lowering.lower model in
-    let managed, report = Resbm.Variants.compile manager prm lowered.Nn.Lowering.dfg in
+    let managed, report =
+      or_die_compile (fun () -> Resbm.Variants.compile manager prm lowered.Nn.Lowering.dfg)
+    in
     Format.printf "compiled %s with %s in %.1f ms@." model.Nn.Model.name
       manager.Resbm.Variants.name report.Resbm.Report.compile_ms;
     let fid = Nn.Inference.fidelity ~samples ~dim prm lowered ~managed in
@@ -549,18 +549,15 @@ let run_cmd =
 (* --- trace ------------------------------------------------------------------- *)
 
 let trace_cmd =
-  let run model manager l_max dim out jsonl summary verify_each jobs log_out =
+  let run model manager l_max dim out jsonl summary verify_each log_out =
     with_flight log_out @@ fun fl ->
     let model = or_die (resolve_model model) in
     let manager = or_die (resolve_manager manager) in
     let prm = params_for l_max in
     let lowered = Nn.Lowering.lower model in
     let managed, report =
-      try Resbm.Variants.compile ~verify_each ?jobs manager prm lowered.Nn.Lowering.dfg
-      with Resbm.Driver.Verification_failed (pass, diags) ->
-        Format.eprintf "error: verification failed after pass %s:@." pass;
-        List.iter (fun d -> Format.eprintf "%a@." Analysis.Diag.pp d) diags;
-        exit 2
+      or_die_compile (fun () ->
+          Resbm.Variants.compile ~verify_each manager prm lowered.Nn.Lowering.dfg)
     in
     Format.printf "compiled %s with %s in %.1f ms@." model.Nn.Model.name
       manager.Resbm.Variants.name report.Resbm.Report.compile_ms;
@@ -652,7 +649,7 @@ let trace_cmd =
           timeline (per-op events, noise/level/scale counter tracks) for Perfetto.")
     Term.(
       const run $ model_arg $ manager_arg $ l_max_arg $ dim $ out $ jsonl $ summary
-      $ verify_each $ jobs_arg $ log_out_arg)
+      $ verify_each $ log_out_arg)
 
 (* --- regions ------------------------------------------------------------------ *)
 
@@ -732,11 +729,8 @@ let lint_cmd =
     let prm = params_for l_max in
     let lowered = Nn.Lowering.lower model in
     let managed, _report =
-      try Resbm.Variants.compile ~verify_each:true manager prm lowered.Nn.Lowering.dfg
-      with Resbm.Driver.Verification_failed (pass, diags) ->
-        Format.eprintf "error: verification failed after pass %s:@." pass;
-        List.iter (fun d -> Format.eprintf "%a@." Analysis.Diag.pp d) diags;
-        exit 2
+      or_die_compile (fun () ->
+          Resbm.Variants.compile ~verify_each:true manager prm lowered.Nn.Lowering.dfg)
     in
     (* typical-activation noise prediction, as in compile -v: the lowering
        knows the weight amplitudes, and activations stay inside the
@@ -820,23 +814,16 @@ let lint_cmd =
 (* --- certify --------------------------------------------------------------------- *)
 
 let certify_cmd =
-  let run models managers l_max jobs cache_flag json_path =
+  let run models managers l_max cache_flag json_path =
     let all_models = Nn.Model.paper_models @ [ Nn.Model.lenet5; Nn.Model.tiny ] in
-    let split s =
-      String.split_on_char ',' s
-      |> List.map String.trim
-      |> List.filter (fun x -> x <> "")
-    in
     let models =
       if String.lowercase_ascii (String.trim models) = "all" then all_models
-      else List.map (fun m -> or_die (resolve_model m)) (split models)
+      else comma_list resolve_model models
     in
     let managers =
       if String.lowercase_ascii (String.trim managers) = "all" then Resbm.Variants.all
-      else List.map (fun m -> or_die (resolve_manager m)) (split managers)
+      else comma_list resolve_manager managers
     in
-    if models = [] then or_die (Error (`Msg "no models given"));
-    if managers = [] then or_die (Error (`Msg "no managers given"));
     let cache = cache_of ~flag:cache_flag in
     let prm = params_for l_max in
     let refuted = ref 0 in
@@ -847,7 +834,7 @@ let certify_cmd =
         List.iter
           (fun manager ->
             let managed, report =
-              Resbm.Variants.compile ?jobs ?cache manager prm lowered.Nn.Lowering.dfg
+              Resbm.Variants.compile ?cache manager prm lowered.Nn.Lowering.dfg
             in
             (* Re-enter the compile's profile so the certify.* spans land
                next to the phases the <15% overhead budget is measured
@@ -952,27 +939,24 @@ let certify_cmd =
           certificates, so a corrupted cache entry is refuted rather than served.  \
           Exit 2 when any plan is refuted.")
     Term.(
-      const run $ models $ managers $ l_max_arg $ jobs_arg $ cache_arg $ json_path)
+      const run $ models $ managers $ l_max_arg $ cache_arg $ json_path)
 
 (* --- sweep ----------------------------------------------------------------------- *)
 
 let sweep_cmd =
-  let run model levels profile_path jobs =
+  let run model levels profile_path =
     let model = or_die (resolve_model model) in
     let lowered = Nn.Lowering.lower model in
     let g = lowered.Nn.Lowering.dfg in
-    let levels =
-      String.split_on_char ',' levels
-      |> List.filter_map (fun s -> int_of_string_opt (String.trim s))
-    in
+    let levels = comma_list parse_int levels in
     let profiled = ref [] in
     Format.printf "%5s %14s %14s %8s %7s %7s@." "l_max" "ReSBM(ms)" "Fhelipe(ms)" "gain"
       "bts-R" "bts-F";
     List.iter
       (fun l_max ->
         let prm = params_for l_max in
-        let _, r = Resbm.Variants.compile ?jobs Resbm.Variants.resbm prm g in
-        let _, f = Resbm.Variants.compile ?jobs Resbm.Variants.fhelipe prm g in
+        let compile m = snd (or_die_compile (fun () -> Resbm.Variants.compile m prm g)) in
+        let r = compile Resbm.Variants.resbm and f = compile Resbm.Variants.fhelipe in
         if profile_path <> None then
           profiled :=
             report_json ~model:model.Nn.Model.name ~l_max f
@@ -996,7 +980,7 @@ let sweep_cmd =
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep l_max for one model (Figure 7 style).")
-    Term.(const run $ model_arg $ levels $ profile_arg $ jobs_arg)
+    Term.(const run $ model_arg $ levels $ profile_arg)
 
 (* --- cache ----------------------------------------------------------------------- *)
 
@@ -1151,7 +1135,7 @@ let top_arg =
            explicit remainder row (never dropped).")
 
 let explain_cmd =
-  let run model manager l_max jobs cache_flag top trace_path json_path =
+  let run model manager l_max cache_flag top trace_path json_path =
     let model = or_die (resolve_model model) in
     let manager = or_die (resolve_manager manager) in
     let prm = params_for l_max in
@@ -1159,7 +1143,7 @@ let explain_cmd =
     let orig_nodes = Fhe_ir.Dfg.node_count lowered.Nn.Lowering.dfg in
     let cache = cache_of ~flag:cache_flag in
     let managed, report =
-      Resbm.Variants.compile ?jobs ?cache manager prm lowered.Nn.Lowering.dfg
+      Resbm.Variants.compile ?cache manager prm lowered.Nn.Lowering.dfg
     in
     let wf = Resbm.Explain.attribution ~top prm ~managed report in
     let rationales = Resbm.Explain.rationales prm ~orig_nodes ~managed report in
@@ -1305,7 +1289,7 @@ let explain_cmd =
           moving it (the region's next-best cut).  Exit 2 when less than 99% of \
           the predicted latency is attributed.")
     Term.(
-      const run $ model_arg $ manager_arg $ l_max_arg $ jobs_arg $ cache_arg $ top_arg
+      const run $ model_arg $ manager_arg $ l_max_arg $ cache_arg $ top_arg
       $ trace_path $ json_path)
 
 (* --- plan-diff -------------------------------------------------------------------- *)
@@ -1387,14 +1371,9 @@ let load_plan_snapshot path =
       (l_max, cells)
 
 let plan_diff_cmd =
-  let run base_path cand_path write_path models managers l_max jobs cache_flag
-      json_path perfetto_path =
+  let run base_path cand_path write_path models managers l_max cache_flag json_path
+      perfetto_path =
     let cache = cache_of ~flag:cache_flag in
-    let split s =
-      String.split_on_char ',' s
-      |> List.map String.trim
-      |> List.filter (fun x -> x <> "")
-    in
     let compute_cells ~l_max pairs =
       let prm = params_for l_max in
       let lowered_tbl = Hashtbl.create 8 in
@@ -1411,8 +1390,7 @@ let plan_diff_cmd =
                 l
           in
           let managed, report =
-            Resbm.Variants.compile ?jobs ?cache manager prm
-              lowered.Nn.Lowering.dfg
+            Resbm.Variants.compile ?cache manager prm lowered.Nn.Lowering.dfg
           in
           ( model.Nn.Model.name,
             manager.Resbm.Variants.name,
@@ -1424,10 +1402,9 @@ let plan_diff_cmd =
         (* Snapshot mode: compile the matrix and commit its digests. *)
         let pairs =
           List.concat_map
-            (fun m -> List.map (fun g -> (m, g)) (split managers))
-            (split models)
+            (fun m -> List.map (fun g -> (m, g)) (comma_list Result.ok managers))
+            (comma_list Result.ok models)
         in
-        if pairs = [] then or_die (Error (`Msg "no model/manager cells given"));
         let cells = compute_cells ~l_max pairs in
         write_json out (plan_snapshot_json ~l_max cells);
         Format.printf "wrote plan snapshot (%d cells, l_max %d) to %s@."
@@ -1610,7 +1587,7 @@ let plan_diff_cmd =
           snapshots.  Exit 0 when identical, 1 on drift, 2 on unreadable input.")
     Term.(
       const run $ base_path $ cand_path $ write_path $ models $ managers $ l_max_arg
-      $ jobs_arg $ cache_arg $ json_path $ perfetto_path)
+      $ cache_arg $ json_path $ perfetto_path)
 
 (* --- chaos ------------------------------------------------------------------------ *)
 
@@ -1618,13 +1595,7 @@ let chaos_cmd =
   let run models trials seed l_max dim rate budget max_attempts backoff max_backoff
       floor no_retries from_trace json_path min_recovery log_out =
     with_flight log_out @@ fun fl ->
-    let models =
-      String.split_on_char ',' models
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-    in
-    if models = [] then or_die (Error (`Msg "no models given"));
-    List.iter (fun m -> ignore (or_die (resolve_model m))) models;
+    let models = comma_list (fun m -> Result.map (fun _ -> m) (resolve_model m)) models in
     let seed =
       match Int64.of_string_opt seed with
       | Some s -> s
@@ -1832,9 +1803,13 @@ let serve_cmd =
   let run model l_max dim seed arrival_rate duration slo_ms max_batch max_wait
       queue_depth chaos_rate chaos_budget max_retries retry_backoff max_backoff
       recovery_attempts breaker_window breaker_threshold breaker_cooldown json_path
-      min_goodput min_attainment jobs cache_flag log_out =
+      min_goodput min_attainment cache_flag log_out =
     with_flight log_out @@ fun fl ->
     ignore (or_die (resolve_model model));
+    (* The campaign's own preconditions, reported as usage errors. *)
+    if queue_depth < 1 then or_die (Error (`Msg "--queue-depth must be at least 1"));
+    if dim < 1 then or_die (Error (`Msg "--dim must be at least 1"));
+    if duration < 0.0 then or_die (Error (`Msg "--duration must not be negative"));
     let seed =
       match Int64.of_string_opt seed with
       | Some s -> s
@@ -1868,7 +1843,7 @@ let serve_cmd =
       }
     in
     let cache = cache_of ~flag:cache_flag in
-    let report = Serving.Scheduler.run ?jobs ?cache cfg in
+    let report = Serving.Scheduler.run ?cache cfg in
     let r = report in
     Format.printf
       "serve %s: %d arrivals -> %d admitted, %d completed, %d shed, %d failed@."
@@ -2040,7 +2015,7 @@ let serve_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:
             "Write the campaign report as JSON to $(docv) (byte-identical across \
-             runs and across $(b,--jobs) values with the same seed and config).")
+             runs with the same seed and config).")
   in
   let min_goodput =
     Arg.(
@@ -2069,7 +2044,7 @@ let serve_cmd =
       $ max_batch $ max_wait $ queue_depth $ chaos_rate $ chaos_budget $ max_retries
       $ retry_backoff $ max_backoff $ recovery_attempts $ breaker_window
       $ breaker_threshold $ breaker_cooldown $ json_path $ min_goodput
-      $ min_attainment $ jobs_arg $ cache_arg $ log_out_arg)
+      $ min_attainment $ cache_arg $ log_out_arg)
 
 (* --- metrics ---------------------------------------------------------------------- *)
 
@@ -2198,16 +2173,11 @@ let health_cmd =
           let lowered = Nn.Lowering.lower model in
           let log = Obs.Log.create () in
           let m = Obs.Metrics.create () in
-          let rt = Obs.Rt.create () in
           Obs.with_log log @@ fun () ->
           Obs.with_metrics m @@ fun () ->
-          Obs.with_rt rt @@ fun () ->
           let managed, report =
-            try Resbm.Variants.compile manager prm lowered.Nn.Lowering.dfg
-            with Resbm.Driver.Verification_failed (pass, diags) ->
-              Format.eprintf "error: verification failed after pass %s:@." pass;
-              List.iter (fun d -> Format.eprintf "%a@." Analysis.Diag.pp d) diags;
-              exit 2
+            or_die_compile (fun () ->
+                Resbm.Variants.compile manager prm lowered.Nn.Lowering.dfg)
           in
           let tr, outcome = traced_inference prm lowered ~managed ~report ~dim in
           ignore (Obs.Metrics.of_trace ~into:m tr);

@@ -55,7 +55,6 @@ val plan :
   ?config:config ->
   ?fuel:Fuel.t ->
   ?segment_scan:[ `Full | `Adjacent ] ->
-  ?jobs:int ->
   ?memo:Region_eval.Memo.t ->
   Region.t ->
   Ckks.Params.t ->
@@ -68,13 +67,6 @@ val plan :
     [`Adjacent] restricts every segment to one region ([dst = src + 1]),
     the linear-time eager strategy of the last fallback tier — no search,
     a bootstrap at every boundary.
-
-    [jobs] (default 1) fans candidate-segment evaluations — and through
-    them the per-region min-cut solves — across a {!Par} domain pool in
-    dst-ordered chunks.  The resulting plan is bit-identical to the
-    sequential scan for any [jobs]; with a {e finite} [fuel] the lookahead
-    may meter a few extra segment evaluations past the DP's stopping
-    point, so exhaustion can trigger at a different step than at [jobs=1].
 
     [memo] is the {!Region_eval.Memo} store of region solutions, keyed
     by canonical region shape (default: a fresh store for this compile).

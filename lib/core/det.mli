@@ -1,8 +1,8 @@
 (** Deterministic (sorted) hashtable draining for planner code.
 
     Raw [Hashtbl.iter]/[Hashtbl.fold] visit buckets in hash order — a
-    nondeterminism hazard under domain-parallel planning and a landmine
-    for content-addressed plan hashing.  Planner modules drain tables
+    nondeterminism hazard once a table is filled from several domains
+    and a landmine for content-addressed plan hashing.  Planner modules drain tables
     through these helpers instead; the source lint
     ({!Analysis.Lint.scan_planner_sources}) flags raw iteration. *)
 

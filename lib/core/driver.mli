@@ -40,7 +40,6 @@ val compile :
   ?fuel:Fuel.t ->
   ?segment_scan:[ `Full | `Adjacent ] ->
   ?fallbacks:(string * string) list ->
-  ?jobs:int ->
   ?cache:Plan_cache.t ->
   Ckks.Params.t ->
   Fhe_ir.Dfg.t ->
@@ -74,12 +73,6 @@ val compile :
     timed as a span, and the min-cut / planner counters are collected, in
     the ambient {!Obs} profile: a caller-supplied [?profile], or a fresh
     one otherwise.  Either way it is returned in {!Report.t.profile}.
-
-    [jobs] (default: {!Par.resolve}, i.e. [RESBM_JOBS] or 1) fans the
-    DP's candidate-segment evaluations and min-cut solves across a
-    domain pool; the plan and every deterministic report field are
-    bit-identical to [jobs = 1] (only [compile_ms] and the profile,
-    which measure wall clock, differ).
 
     [cache] consults a {!Plan_cache} before planning and stores the
     result after: a hit returns a bit-identical plan and report (with
@@ -133,7 +126,6 @@ val compile_robust :
   ?ms_opt:bool ->
   ?verify_each:bool ->
   ?profile:Obs.Profile.t ->
-  ?jobs:int ->
   ?cache:Plan_cache.t ->
   Ckks.Params.t ->
   Fhe_ir.Dfg.t ->

@@ -19,12 +19,10 @@
     fewer than when every region was solved on its own; budgets
     calibrated from older profiles remain valid upper bounds.
 
-    The counter is atomic: one budget may be shared across the worker
-    domains of a parallel plan and total accounting stays exact.  Note
-    that with [jobs > 1] the {e order} of spends depends on scheduling,
-    so a finite budget can exhaust at a different planning step than the
-    sequential run would — bit-identity guarantees between sequential and
-    parallel compiles only hold for unlimited fuel. *)
+    Planning is sequential, so the order of spends is fixed: a finite
+    budget exhausts at the same planning step on every run.  The counter
+    is atomic, so one budget may also be shared across domains and total
+    accounting stays exact. *)
 
 type t
 

@@ -176,7 +176,7 @@ let shape_key regioned prm region =
 
 (* Per-compile state over one regioned DFG: each region's view, built on
    first use, and the solutions already mapped to real ids, keyed by
-   region index.  Lock-protected so parallel segment scans can share it. *)
+   region index.  Lock-protected so domains can share it. *)
 type cache = {
   own : Memo.t;  (* the store of [eval] calls that pass no [memo] *)
   views : (int, view) Hashtbl.t;

@@ -54,7 +54,7 @@ type result = {
 (** The solution store.  One store serves a cold compile (shared by the
     repeated blocks of the model) and, kept across compiles by
     {!Plan_cache}, the incremental tier.  Lock-protected: safe to share
-    across worker domains; concurrent misses may compute one entry twice,
+    across domains; concurrent misses may compute one entry twice,
     and the first add wins (both computes are equal). *)
 module Memo : sig
   type t

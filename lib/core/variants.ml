@@ -60,6 +60,6 @@ let figure6 = [ resbm; resbm_eva; resbm_max; resbm_pm; fhelipe ]
 let by_name name =
   List.find_opt (fun m -> String.lowercase_ascii m.name = String.lowercase_ascii name) all
 
-let compile ?verify_each ?certify ?jobs ?cache m prm g =
+let compile ?verify_each ?certify ?jobs:_ ?cache m prm g =
   Driver.compile ~config:m.config ~name:m.name ~ms_opt:m.ms_opt ?verify_each ?certify
-    ?jobs ?cache prm g
+    ?cache prm g

@@ -45,5 +45,6 @@ val compile :
   Ckks.Params.t ->
   Fhe_ir.Dfg.t ->
   Fhe_ir.Dfg.t * Report.t
-(** [verify_each], [certify], [jobs] and [cache] are forwarded to
-    {!Driver.compile}. *)
+(** [verify_each], [certify] and [cache] are forwarded to
+    {!Driver.compile}.  [jobs] is ignored: planning is sequential.  It
+    is kept only for existing callers that still pass a job count. *)

@@ -393,17 +393,6 @@ module Profile = struct
       (fun (k, v) -> Format.fprintf ppf "@ %-32s %10d" k v)
       (counters t);
     Format.fprintf ppf "@]"
-
-  (* Fold a worker domain's profile into [into]: spans are re-anchored to
-     [into]'s epoch, counters merge by name.  Call after the worker has
-     joined — neither profile may be concurrently mutated. *)
-  let merge ~into src =
-    let offset = 1000.0 *. (src.epoch -. into.epoch) in
-    let adjusted =
-      List.rev_map (fun s -> { s with start_ms = s.start_ms +. offset }) src.finished
-    in
-    into.finished <- List.rev_append adjusted into.finished;
-    List.iter (fun (k, v) -> incr ~by:v into k) (counters src)
 end
 
 module Trace = struct
@@ -781,9 +770,8 @@ end
    in by the ambient helpers at the bottom of this file) plus free-form
    structured fields, and a simulated-clock stamp when a trace was
    ambient at emission time so the record lands as an instant on the
-   execution timeline.  The sink is mutex-protected: parallel-planner
-   workers share their parent's sink the same way they share the metrics
-   registry. *)
+   execution timeline.  The sink is mutex-protected, so domains can
+   share it the same way they share the metrics registry. *)
 module Log = struct
   type level = Debug | Info | Warn | Error
 
@@ -977,10 +965,10 @@ module Log = struct
 end
 
 (* Runtime telemetry: GC pressure deltas around a computation, and
-   per-worker accounting for the parallel planner's domain pool — tasks
-   executed, busy vs idle wall time, queue wait — exported as one
-   Perfetto track per worker domain so pool utilization is visible next
-   to the compile and execution timelines. *)
+   per-worker accounting for domain pools — tasks executed, busy vs idle
+   wall time, queue wait — exported as one Perfetto track per worker
+   domain so pool utilization is visible next to the compile and
+   execution timelines. *)
 module Rt = struct
   type gc_delta = {
     minor_words : float;
@@ -1144,9 +1132,9 @@ module Metrics = struct
     counters : (string * labels, int ref) Hashtbl.t;
     gauges : (string * labels, float ref) Hashtbl.t;
     hists : (string * labels, hist) Hashtbl.t;
-    (* Mutators take this lock: a registry is shared with worker domains
-       during parallel planning so exact counters (fuel metering, cache
-       traffic) survive the fan-out. *)
+    (* Mutators take this lock: a registry may be shared across domains
+       and exact counters (fuel metering, cache traffic) must survive
+       it. *)
     lock : Mutex.t;
   }
 
@@ -2614,13 +2602,11 @@ let profile_chrome_events ?(pid = 0) ?(name = "resbm compile") p =
 
 let chrome_trace = Chrome.trace
 
-(* Ambient state is domain-local: a freshly spawned worker domain sees
-   None for every handle, so helpers are silent there unless the
-   work-pool explicitly re-installs the parent's handles (Par does this
-   for metrics and the log, and gives each worker its own profile to
-   merge later).  Within one domain, [scoped] binds a handle for the
-   extent of a callback and restores the previous binding after, also on
-   exceptions. *)
+(* Ambient state is domain-local: a freshly spawned domain sees None
+   for every handle, so helpers are silent there unless its spawner
+   re-installs the parent's handles.  Within one domain, [scoped] binds
+   a handle for the extent of a callback and restores the previous
+   binding after, also on exceptions. *)
 let ambient () = Domain.DLS.new_key (fun () -> None)
 
 let scoped key v f =

@@ -71,11 +71,6 @@ module Profile : sig
 
   val pp : Format.formatter -> t -> unit
   (** Top-level phase durations and counters, one per line. *)
-
-  val merge : into:t -> t -> unit
-  (** Fold a worker domain's profile into [into]: spans re-anchored to
-      [into]'s epoch, counters merged by name.  Only call
-      after the worker has joined — neither side may be mutating. *)
 end
 
 (** Runtime execution tracing — a ring-buffered flight recorder of per-op
@@ -239,8 +234,8 @@ end
     simulated-clock stamp when a trace was ambient at emission time — so
     a record emitted mid-execution lands as an instant on the execution
     timeline, correlated with the op spans around it.  The sink is
-    mutex-protected and shared with parallel-planner worker domains the
-    same way the metrics registry is. *)
+    mutex-protected, so domains can share it the same way they share the
+    metrics registry. *)
 module Log : sig
   type level = Debug | Info | Warn | Error
 
@@ -318,8 +313,9 @@ module Log : sig
 end
 
 (** Runtime telemetry: GC pressure deltas around a computation, and
-    per-worker accounting for the parallel planner's domain pool,
-    exported as one Perfetto track per worker domain. *)
+    per-worker accounting for domain pools, exported as one Perfetto
+    track per worker domain.  The planner is sequential and records no
+    pools; the records stay for callers that run their own pools. *)
 module Rt : sig
   type gc_delta = {
     minor_words : float;
@@ -367,8 +363,8 @@ module Rt : sig
 
   val record_pool :
     t -> label:string -> jobs:int -> tasks:int -> wall_ms:float -> worker list -> unit
-  (** Append one completed pool run; called by {!Resbm.Par} after the
-      workers have joined.  Thread-safe. *)
+  (** Append one completed pool run, after its workers have joined.
+      Thread-safe. *)
 
   val pools : t -> pool list
   (** Recorded pool runs, in completion order. *)
@@ -758,8 +754,7 @@ val metric_set : ?labels:Metrics.labels -> string -> float -> unit
 
 val with_log : Log.t -> (unit -> 'a) -> 'a
 (** Install [sink] as the ambient log sink for the extent of the callback
-    (restoring the previous one after, also on exceptions).  {!Resbm.Par}
-    re-installs the parent's sink in worker domains, like metrics. *)
+    (restoring the previous one after, also on exceptions). *)
 
 val current_log : unit -> Log.t option
 
@@ -789,8 +784,7 @@ val log_error : event:string -> ?fields:(string * Json.t) list -> string -> unit
 
 val with_rt : Rt.t -> (unit -> 'a) -> 'a
 (** Install [rt] as the ambient runtime-telemetry collector for the
-    extent of the callback.  {!Resbm.Par} records one pool entry per
-    [tabulate] fan-out into it. *)
+    extent of the callback. *)
 
 val current_rt : unit -> Rt.t option
 

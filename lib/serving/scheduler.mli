@@ -18,8 +18,7 @@
 
     Everything — arrivals, payloads, fault plans, evaluator noise,
     backoff — is deterministic in [seed] over the simulated clock, so a
-    campaign report serialises byte-for-byte identically across runs and
-    across planner [jobs] values.  Recovery latency is accounted {e per
+    campaign report serialises byte-for-byte identically across runs.  Recovery latency is accounted {e per
     request}: each successful batch's recovery cost is split across its
     members (the per-request sum equals the batch total exactly), and
     every arrival terminates as completed, shed, or failed exactly
@@ -134,10 +133,10 @@ type report = {
   batches : batch_report list;  (** Dispatch order. *)
 }
 
-val run : ?jobs:int -> ?cache:Resbm.Plan_cache.t -> config -> report
-(** Run a campaign.  [jobs]/[cache] feed the planner
-    ({!Resbm.Driver.compile_robust}), whose plans are bit-identical at
-    any job count — the report does not depend on them.  Metrics
+val run : ?cache:Resbm.Plan_cache.t -> config -> report
+(** Run a campaign.  [cache] feeds the planner
+    ({!Resbm.Driver.compile_robust}), whose plans are bit-identical warm
+    or cold — the report does not depend on it.  Metrics
     ([serve_*] counters, [service_latency_ms] / [serve_queue_depth] /
     [serve_batch_size] histograms, [serve_queue_depth_peak] gauge), log
     events ([serve.admit] / [serve.shed] / [serve.batch.formed] /

@@ -129,7 +129,7 @@ let flight_off_identity =
         List.nth all (Hashtbl.hash params mod List.length all)
       in
       let compile g =
-        match Resbm.Variants.compile ~jobs:2 mgr prm g with
+        match Resbm.Variants.compile mgr prm g with
         | r -> Some (fingerprint r)
         | exception Resbm.Btsmgr.No_plan _ -> None
       in
@@ -145,52 +145,14 @@ let flight_off_identity =
 (* --- Rt pool telemetry ----------------------------------------------------- *)
 
 let sequential_pool_records_nothing () =
+  (* Planning is sequential: a compile under a collector records no pool
+     and so exports no worker track. *)
   let rt = Obs.Rt.create () in
-  Obs.with_rt rt (fun () -> ignore (Resbm.Par.tabulate ~jobs:1 8 Fun.id));
-  checkb "jobs=1 takes the sequential path" true (Obs.Rt.pools rt = []);
+  let lowered = Nn.Lowering.lower Nn.Model.tiny in
+  Obs.with_rt rt (fun () ->
+      ignore (Resbm.Variants.(compile resbm) prm lowered.Nn.Lowering.dfg));
+  checkb "a compile records no pool" true (Obs.Rt.pools rt = []);
   checkb "no pools means no perfetto track" true (Obs.Rt.chrome_events rt = [])
-
-let parallel_pool_accounts_every_task () =
-  let rt = Obs.Rt.create () in
-  Obs.with_rt rt (fun () ->
-      ignore (Resbm.Par.tabulate ~jobs:4 ~label:"flight_test" 33 Fun.id));
-  match Obs.Rt.pools rt with
-  | [ p ] ->
-      check Alcotest.string "label" "flight_test" p.Obs.Rt.p_label;
-      checki "jobs" 4 p.Obs.Rt.p_jobs;
-      checki "tasks" 33 p.Obs.Rt.p_tasks;
-      checki "one worker row per slot" 4 (List.length p.Obs.Rt.p_workers);
-      checkb "workers listed in slot order" true
-        (List.map (fun w -> w.Obs.Rt.w_id) p.Obs.Rt.p_workers = [ 0; 1; 2; 3 ]);
-      checki "per-worker task counts sum to the pool" 33
-        (List.fold_left (fun acc w -> acc + w.Obs.Rt.w_tasks) 0 p.Obs.Rt.p_workers);
-      let indices =
-        List.concat_map
-          (fun w -> List.map (fun s -> s.Obs.Rt.t_index) w.Obs.Rt.w_spans)
-          p.Obs.Rt.p_workers
-      in
-      checkb "every task index spanned exactly once" true
-        (List.sort compare indices = List.init 33 Fun.id);
-      checkb "span counts match task counts" true
-        (List.for_all
-           (fun w -> List.length w.Obs.Rt.w_spans = w.Obs.Rt.w_tasks)
-           p.Obs.Rt.p_workers)
-  | ps -> Alcotest.failf "expected 1 pool, got %d" (List.length ps)
-
-let rt_export_is_deterministic () =
-  (* Same collector, two exports: the merged per-domain timeline must
-     serialise identically — worker rows are already in slot order, so
-     the export never depends on drain interleaving. *)
-  let rt = Obs.Rt.create () in
-  Obs.with_rt rt (fun () ->
-      ignore (Resbm.Par.tabulate ~jobs:4 20 Fun.id);
-      ignore (Resbm.Par.tabulate ~jobs:2 7 Fun.id));
-  checki "both fan-outs recorded" 2 (List.length (Obs.Rt.pools rt));
-  let export () = Obs.Json.to_string (Obs.Json.List (Obs.Rt.chrome_events rt)) in
-  check Alcotest.string "chrome export is stable" (export ()) (export ());
-  check Alcotest.string "json export is stable"
-    (Obs.Json.to_string (Obs.Rt.to_json rt))
-    (Obs.Json.to_string (Obs.Rt.to_json rt))
 
 let gc_span_publishes_pressure () =
   let m = Obs.Metrics.create () in
@@ -414,8 +376,6 @@ let suite =
     case "log instants land on the right process" log_instants_land_on_the_right_process;
     flight_off_identity;
     case "rt: sequential pool records nothing" sequential_pool_records_nothing;
-    case "rt: parallel pool accounts every task" parallel_pool_accounts_every_task;
-    case "rt: perfetto export is deterministic" rt_export_is_deterministic;
     case "gc_span publishes pressure to ambient metrics" gc_span_publishes_pressure;
     case "metrics json round-trip is stable" metrics_json_round_trip;
     case "health: vacuous run is healthy" health_vacuous_run_is_healthy;

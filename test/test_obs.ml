@@ -179,29 +179,23 @@ let ms_opt_hoists_reported () =
 
 let cut_histograms_count_every_cut () =
   let lowered = Nn.Lowering.lower Nn.Model.tiny in
-  List.iter
-    (fun jobs ->
-      let m = Obs.Metrics.create () in
-      let _, report =
-        Obs.with_metrics m (fun () ->
-            Resbm.Variants.compile ~jobs Resbm.Variants.resbm Ckks.Params.default
-              lowered.Nn.Lowering.dfg)
-      in
-      let cuts name = Obs.Profile.counter report.Resbm.Report.profile name in
-      let observed name =
-        match Obs.Metrics.histogram m name with Some h -> h.Obs.Metrics.hcount | None -> 0
-      in
-      let label what = Printf.sprintf "jobs=%d: %s" jobs what in
-      checkb (label "smoplc cut") true (cuts "smoplc.cuts" > 0);
-      checki (label "one smoplc_cut_value per cut") (cuts "smoplc.cuts")
-        (observed "smoplc_cut_value");
-      checki (label "one smoplc_region_nodes per cut") (cuts "smoplc.cuts")
-        (observed "smoplc_region_nodes");
-      checki (label "one btsplc_cut_value per cut") (cuts "btsplc.cuts")
-        (observed "btsplc_cut_value");
-      checki (label "one btsplc_subgraph_nodes per cut") (cuts "btsplc.cuts")
-        (observed "btsplc_subgraph_nodes"))
-    [ 1; 4 ]
+  let m = Obs.Metrics.create () in
+  let _, report =
+    Obs.with_metrics m (fun () ->
+        Resbm.Variants.compile Resbm.Variants.resbm Ckks.Params.default
+          lowered.Nn.Lowering.dfg)
+  in
+  let cuts name = Obs.Profile.counter report.Resbm.Report.profile name in
+  let observed name =
+    match Obs.Metrics.histogram m name with Some h -> h.Obs.Metrics.hcount | None -> 0
+  in
+  checkb "smoplc cut" true (cuts "smoplc.cuts" > 0);
+  checki "one smoplc_cut_value per cut" (cuts "smoplc.cuts") (observed "smoplc_cut_value");
+  checki "one smoplc_region_nodes per cut" (cuts "smoplc.cuts")
+    (observed "smoplc_region_nodes");
+  checki "one btsplc_cut_value per cut" (cuts "btsplc.cuts") (observed "btsplc_cut_value");
+  checki "one btsplc_subgraph_nodes per cut" (cuts "btsplc.cuts")
+    (observed "btsplc_subgraph_nodes")
 
 (* The profile keeps spans and counters only, so its size tracks the
    number of phases, not the number of min-cuts (ResNet20 runs ~7,000). *)

@@ -1,7 +1,6 @@
-(* Domain-parallel planning and the content-addressed plan cache: the Par
-   pool's ordering/exception/fuel contracts, bit-identity of plans across
-   job counts, warm-cache identity, key sensitivity, the incremental
-   region memo, and the on-disk tier. *)
+(* The content-addressed plan cache and its planner contracts: exact,
+   deterministic fuel accounting, warm-cache identity, key sensitivity,
+   the incremental region memo, and the on-disk tier. *)
 open Test_util
 open Fhe_ir
 
@@ -22,113 +21,62 @@ let fingerprint ((g : Dfg.t), (r : Resbm.Report.t)) =
     Array.to_list r.Resbm.Report.region_of,
     r.Resbm.Report.fallbacks )
 
-(* --- the Par pool -------------------------------------------------------- *)
+(* --- fuel ------------------------------------------------------------------ *)
 
-let par_tabulate_matches_sequential () =
-  let f i = (i * 31) mod 17 in
-  for jobs = 1 to 5 do
-    checkb
-      (Printf.sprintf "jobs=%d returns input order" jobs)
-      true
-      (Resbm.Par.tabulate ~jobs 33 f = Array.init 33 f)
-  done;
-  checkb "empty input" true (Resbm.Par.tabulate ~jobs:4 0 f = [||]);
-  checkb "more jobs than tasks" true (Resbm.Par.tabulate ~jobs:64 3 f = Array.init 3 f);
-  checkb "map composes" true
-    (Resbm.Par.map ~jobs:3 string_of_int (Array.init 10 Fun.id)
-    = Array.init 10 string_of_int)
-
-exception Marker of int
-
-let par_reraises_smallest_index () =
-  (* Several tasks fail; the pool must re-raise the failure a sequential
-     run would hit first, independent of scheduling. *)
-  for _ = 1 to 10 do
-    match
-      Resbm.Par.tabulate ~jobs:4 50 (fun i ->
-          if i mod 7 = 3 then raise (Marker i) else i)
-    with
-    | _ -> Alcotest.fail "expected Marker"
-    | exception Marker i -> checki "smallest failing index wins" 3 i
-  done
-
-let par_fuel_accounting_is_exact () =
-  (* Racing CAS spends from four domains must account exactly: no spend
-     lost, no spend double-counted, failed spends consume nothing. *)
+let fuel_accounting_is_exact () =
+  (* Every spend is counted exactly once, a failed spend consumes nothing,
+     and since planning is sequential a finite budget exhausts at the same
+     step on every run. *)
   let m = Obs.Metrics.create () in
   Obs.with_metrics m (fun () ->
-      let fuel = Resbm.Fuel.create ~stage:"par" 100 in
-      ignore (Resbm.Par.tabulate ~jobs:4 100 (fun _ -> Resbm.Fuel.spend fuel));
+      let fuel = Resbm.Fuel.create ~stage:"seq" 100 in
+      for _ = 1 to 100 do
+        Resbm.Fuel.spend fuel
+      done;
       checki "budget fully drained" 0 (Resbm.Fuel.remaining fuel));
   checki "every spend counted exactly once" 100
-    (Obs.Metrics.counter_value ~labels:[ ("stage", "par") ] m "planner_fuel_spent_total");
+    (Obs.Metrics.counter_value ~labels:[ ("stage", "seq") ] m "planner_fuel_spent_total");
   let m = Obs.Metrics.create () in
   Obs.with_metrics m (fun () ->
-      let fuel = Resbm.Fuel.create ~stage:"par" 30 in
-      (match Resbm.Par.tabulate ~jobs:4 100 (fun _ -> Resbm.Fuel.spend fuel) with
-      | _ -> Alcotest.fail "expected exhaustion"
-      | exception Resbm.Fuel.Exhausted stage ->
-          check Alcotest.string "stage" "par" stage);
+      let fuel = Resbm.Fuel.create ~stage:"seq" 30 in
+      let spent = ref 0 in
+      (match
+         for _ = 1 to 100 do
+           Resbm.Fuel.spend fuel;
+           incr spent
+         done
+       with
+      | () -> Alcotest.fail "expected exhaustion"
+      | exception Resbm.Fuel.Exhausted stage -> check Alcotest.string "stage" "seq" stage);
+      checki "exhausted after exactly the budget" 30 !spent;
       checki "exhausted at zero" 0 (Resbm.Fuel.remaining fuel));
   checki "successful spends only" 30
-    (Obs.Metrics.counter_value ~labels:[ ("stage", "par") ] m "planner_fuel_spent_total");
-  checkb "exhaustions counted" true
-    (Obs.Metrics.counter_value ~labels:[ ("stage", "par") ] m
-       "planner_fuel_exhausted_total"
-    >= 1)
+    (Obs.Metrics.counter_value ~labels:[ ("stage", "seq") ] m "planner_fuel_spent_total");
+  checki "one exhaustion counted" 1
+    (Obs.Metrics.counter_value ~labels:[ ("stage", "seq") ] m
+       "planner_fuel_exhausted_total");
+  (* The planner itself: a budget short of a full plan runs dry after the
+     same number of segment evaluations each time. *)
+  let g = (Nn.Lowering.lower Nn.Model.lenet5).Nn.Lowering.dfg in
+  let r = Resbm.Region.build g in
+  let evals_at_exhaustion () =
+    let p = Obs.Profile.create () in
+    Obs.with_profile p (fun () ->
+        match Resbm.Btsmgr.plan ~fuel:(Resbm.Fuel.create 40) r prm with
+        | _ -> Alcotest.fail "expected the planner to exhaust 40 steps"
+        | exception Resbm.Fuel.Exhausted _ -> ());
+    List.assoc_opt "btsmgr.segment_evals" (Obs.Profile.counters p)
+  in
+  let first = evals_at_exhaustion () in
+  checkb "the planner spent some fuel" true (first <> None);
+  for _ = 1 to 3 do
+    checkb "exhaustion lands on the same step" true (evals_at_exhaustion () = first)
+  done
 
-(* --- bit-identity across job counts -------------------------------------- *)
-
-let compile_opt ?jobs ?cache mgr p g =
-  match Resbm.Variants.compile ?jobs ?cache mgr p g with
+let compile_opt ?cache mgr p g =
+  match Resbm.Variants.compile ?cache mgr p g with
   | r -> Some r
   | exception Resbm.Btsmgr.No_plan _ -> None
-
-let jobs_identity_all_managers () =
-  (* Every manager, two fixture programs, jobs in {1, 2, 4}: the plan and
-     every deterministic report field must be bit-identical. *)
-  List.iter
-    (fun (p, mk_g, label) ->
-      List.iter
-        (fun (mgr : Resbm.Variants.manager) ->
-          match compile_opt ~jobs:1 mgr p (mk_g ()) with
-          | None -> ()
-          | Some base ->
-              let fp = fingerprint base in
-              List.iter
-                (fun jobs ->
-                  match compile_opt ~jobs mgr p (mk_g ()) with
-                  | None ->
-                      Alcotest.failf "%s/%s: jobs=%d found no plan" label
-                        mgr.Resbm.Variants.name jobs
-                  | Some r ->
-                      checkb
-                        (Printf.sprintf "%s/%s: jobs=%d bit-identical" label
-                           mgr.Resbm.Variants.name jobs)
-                        true
-                        (fingerprint r = fp))
-                [ 2; 4 ])
-        Resbm.Variants.all)
-    [
-      (prm, fig3_poly, "fig3");
-      (Ckks.Params.fig1, fig1_block, "fig1");
-      (prm, fig5_program, "fig5");
-    ]
-
-let jobs_identity_random =
-  qcheck ~count:40 "random graphs plan bit-identically at any job count"
-    (random_dfg_gen ~max_nodes:40 ~max_depth:8)
-    (fun params ->
-      let mgr =
-        let all = Resbm.Variants.all in
-        List.nth all (Hashtbl.hash params mod List.length all)
-      in
-      match compile_opt ~jobs:1 mgr prm (build_random_dfg params) with
-      | None -> true
-      | Some base ->
-          (match compile_opt ~jobs:3 mgr prm (build_random_dfg params) with
-          | None -> false
-          | Some r -> fingerprint r = fingerprint base))
 
 (* --- warm cache ----------------------------------------------------------- *)
 
@@ -318,12 +266,12 @@ let memo_hits_equal_fresh_computes () =
         && a.Resbm.Cut.cert = b.Resbm.Cut.cert
     | _ -> false
   in
-  let walk label g jobs =
+  let walk label g =
     let r = Resbm.Region.build g in
     let store = Resbm.Region_eval.Memo.create () in
-    ignore (Resbm.Btsmgr.plan ~jobs ~memo:store r prm);
+    ignore (Resbm.Btsmgr.plan ~memo:store r prm);
     let hits, _ = Resbm.Region_eval.Memo.stats store in
-    checkb (Printf.sprintf "%s -j %d: the shared store was hit" label jobs) true (hits > 0);
+    checkb (label ^ ": the shared store was hit") true (hits > 0);
     let shapes = Array.init r.Resbm.Region.count (shape r) in
     let shared = Resbm.Region_eval.create_cache () in
     let checked = ref 0 in
@@ -346,18 +294,15 @@ let memo_hits_equal_fresh_computes () =
                   && same_cut a.Resbm.Region_eval.bts_cut b.Resbm.Region_eval.bts_cut
                   && a.Resbm.Region_eval.bts_subgraph = b.Resbm.Region_eval.bts_subgraph)
               then
-                Alcotest.failf "%s -j %d: region %d (entry %d, %d rescales) differs" label
-                  jobs region entry_level rescales
+                Alcotest.failf "%s: region %d (entry %d, %d rescales) differs" label region
+                  entry_level rescales
             end)
           shapes)
       (Resbm.Region_eval.Memo.entries store);
     checkb (label ^ ": every region re-solved") true (!checked >= r.Resbm.Region.count - 1)
   in
-  List.iter
-    (fun jobs ->
-      walk "resnet20" (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg jobs;
-      walk "layered" (layered ~layers:4) jobs)
-    [ 1; 4 ]
+  walk "resnet20" (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg;
+  walk "layered" (layered ~layers:4)
 
 (* --- on-disk tier ---------------------------------------------------------- *)
 
@@ -407,11 +352,7 @@ let lru_eviction_is_bounded () =
 
 let suite =
   [
-    case "par: tabulate matches sequential evaluation" par_tabulate_matches_sequential;
-    case "par: smallest-index exception wins" par_reraises_smallest_index;
-    case "par: fuel accounting is exact across domains" par_fuel_accounting_is_exact;
-    case "plans are bit-identical at jobs 1, 2, 4" jobs_identity_all_managers;
-    jobs_identity_random;
+    case "fuel: accounting is exact and exhaustion deterministic" fuel_accounting_is_exact;
     case "warm cache compiles are bit-identical" warm_cache_identity;
     case "warm hits hand out private graphs" warm_hit_graph_is_private;
     case "warm hits hand out fresh profiles" warm_hits_get_fresh_profiles;
