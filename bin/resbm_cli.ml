@@ -655,6 +655,7 @@ let trace_cmd =
 
 let regions_cmd =
   let run model limit =
+    if limit < 0 then or_die (Error (`Msg "--limit must not be negative"));
     let model = or_die (resolve_model model) in
     let lowered = Nn.Lowering.lower model in
     let regioned = Resbm.Region.build lowered.Nn.Lowering.dfg in

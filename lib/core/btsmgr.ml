@@ -47,7 +47,6 @@ type segment_eval = {
    grouped by consumer region for incremental accumulation in the DP's
    inner loop. *)
 let cross_edges_by_consumer regioned =
-  let g = regioned.Region.dfg in
   let count = regioned.Region.count in
   let by_rb = Array.make count [] in
   List.iter
@@ -61,24 +60,24 @@ let cross_edges_by_consumer regioned =
                (fun u ->
                  let rb = regioned.Region.region_of.(u) in
                  if rb > ra + 1 then Some rb else None)
-               (Fhe_ir.Dfg.succs g id))
+               (Array.to_list regioned.Region.succs.(id)))
         in
         List.iter
           (fun rb -> by_rb.(rb) <- (ra, node.Fhe_ir.Dfg.freq) :: by_rb.(rb))
           consumer_regions
       end)
-    (Fhe_ir.Dfg.live_nodes g);
+    (Fhe_ir.Dfg.live_nodes regioned.Region.dfg);
   by_rb
 
 let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Full)
     ?memo regioned prm =
   let count = regioned.Region.count in
   let last = count - 1 in
-  let cache = Region_eval.create_cache () in
+  let cache = Region_eval.create_cache ?memo () in
   let l_max = prm.Ckks.Params.l_max in
   let cross_by_rb = cross_edges_by_consumer regioned in
   let eval ~region ~entry_level ~rescales ~bts =
-    Region_eval.eval ~fuel ?memo cache regioned prm ~smo_mode:config.smo_mode
+    Region_eval.eval ~fuel cache regioned prm ~smo_mode:config.smo_mode
       ~bts_mode:config.bts_mode ~region ~entry_level ~rescales ~bts
   in
   if count = 1 then

@@ -20,7 +20,18 @@ val run :
   lbts:int ->
   subgraph:int list ->
   Cut.t
-(** [subgraph] lists the level-0 member ids (topological order).  Each
-    call spends one unit of [fuel] (default {!Fuel.unlimited}).
+(** [subgraph] lists level-0 ciphertext members of [region] (topological
+    order).  Each call spends one unit of [fuel] (default {!Fuel.unlimited}).
     @raise Invalid_argument on an empty subgraph or [lbts < 1].
     @raise Fuel.Exhausted when the step budget runs out. *)
+
+type subgraph
+(** A level-0 subgraph, as [run] sees it; also read by {!Region_eval}. *)
+
+val subgraph : Region.t -> region:int -> int list -> subgraph
+
+val live_out : subgraph -> int -> bool
+(** A DFG output, or used outside the subgraph (region-end bootstraps). *)
+
+val external_producers : subgraph -> int -> int list
+(** Ciphertext operands produced outside the subgraph, in [preds] order. *)

@@ -246,19 +246,22 @@ let apply regioned prm (plan : Btsmgr.plan) =
                           Hashtbl.replace levels b want;
                           Hashtbl.replace scales b q;
                           incr repair_count;
-                          if Sys.getenv_opt "RESBM_DEBUG" <> None then
-                            Format.eprintf
-                              "repair: %%%d (%s, region %s, have L%d) -> L%d for join %%%d \
-                               (region %s)@."
-                              a
-                              (Op.name (Dfg.node g a).Dfg.kind)
-                              (match region_of a with
-                              | Some r -> string_of_int r
-                              | None -> "?")
-                              (level_of a) want id
-                              (match region_of id with
-                              | Some r -> string_of_int r
-                              | None -> "?");
+                          let region n =
+                            match region_of n with Some r -> Obs.Json.Int r | None -> Obs.Json.Null
+                          in
+                          Obs.log_debug ~event:"plan.repair"
+                            ~fields:
+                              [
+                                ("node", Obs.Json.Int a);
+                                ("op", Obs.Json.String (Op.name (Dfg.node g a).Dfg.kind));
+                                ("region", region a);
+                                ("have", Obs.Json.Int (level_of a));
+                                ("want", Obs.Json.Int want);
+                                ("join", Obs.Json.Int id);
+                                ("join_region", region id);
+                              ]
+                            (Printf.sprintf "repair: bootstrap %%%d from L%d to L%d for join %%%d"
+                               a (level_of a) want id);
                           b
                     in
                     Dfg.set_arg g ~user:id ~arg_index:i bts

@@ -13,13 +13,28 @@
     finish in region [j - 1]; a node feeding a non-multiplication of
     region [j] may sit in region [j] itself).  The backward pass is what
     prefers Figure 3b over Figure 3a: the off-critical-path [a1*x]
-    multiplication sinks next to its use and executes at a lower level. *)
+    multiplication sinks next to its use and executes at a lower level.
+
+    [build] also computes, once, the region-local graph that SCALEMGR,
+    SMOPLC, BTSPLC and region evaluation read instead of the DFG.
+    Node-indexed arrays cover every allocated id and reflect the DFG as
+    it was at [build] time. *)
 
 type t = private {
   dfg : Fhe_ir.Dfg.t;
   region_of : int array;  (** node id -> region index. *)
   regions : int array array;  (** region index -> member node ids, topo order. *)
   count : int;
+  ct_regions : int array array;  (** region index -> ciphertext members, topo order. *)
+  ct_pos : int array;  (** node id -> index in its [ct_regions] row, or [-1]. *)
+  mul_cc : bool array;  (** region index -> has a [Mul_cc]. *)
+  mul_cp : bool array;  (** region index -> has a [Mul_cp]. *)
+  preds : int array array;  (** node id -> [Dfg.preds], as an array. *)
+  succs : int array array;  (** node id -> [Dfg.succs], as an array. *)
+  is_output : bool array;  (** node id -> listed in [Dfg.outputs]. *)
+  is_live_out : bool array;  (** node id -> an output, or used in another region. *)
+  is_cross_join : bool array;
+      (** node id -> an [Add_cc] with a ciphertext operand from another region. *)
 }
 
 val build : ?sink:bool -> Fhe_ir.Dfg.t -> t
@@ -31,8 +46,14 @@ val build : ?sink:bool -> Fhe_ir.Dfg.t -> t
 val members : t -> int -> int array
 (** Node ids of a region, in topological order. *)
 
+val ct_index : t -> region:int -> int -> int
+(** [id]'s index in [ct_regions.(region)], or [-1] if not in that row. *)
+
 val ct_members : t -> int -> int list
 (** Ciphertext-producing members only (plaintext constants excluded). *)
+
+val ct_succs : t -> region:int -> int -> int list
+(** The [succs] of a node that are ciphertext members of [region]. *)
 
 val muls : t -> int -> int list
 (** Multiplication nodes of a region. *)

@@ -91,9 +91,7 @@ end
 type view = {
   ids : int array;  (* rank -> node id *)
   rank_of : (int, int) Hashtbl.t;  (* node id -> rank *)
-  shape : string;
-  store : Memo.t;  (* the store [sid] was interned in *)
-  sid : int;
+  sid : int;  (* the shape, interned in the cache's store *)
 }
 
 let add_int b v =
@@ -120,7 +118,8 @@ let canonical regioned (prm : Ckks.Params.t) region =
   let inside id = regioned.Region.region_of.(id) = region in
   let externals =
     Array.to_list members
-    |> List.concat_map (fun id -> List.filter (fun p -> not (inside p)) (Dfg.preds g id))
+    |> List.concat_map (fun id ->
+           List.filter (fun p -> not (inside p)) (Array.to_list regioned.Region.preds.(id)))
     |> List.sort_uniq compare
   in
   let ids =
@@ -145,7 +144,6 @@ let canonical regioned (prm : Ckks.Params.t) region =
   Buffer.add_char b ',';
   add_int b (Array.length ids);
   Array.iter (fun id -> add_int b (rank id)) members;
-  let outputs = Dfg.outputs g in
   Array.iter
     (fun id ->
       let n = Dfg.node g id in
@@ -155,10 +153,10 @@ let canonical regioned (prm : Ckks.Params.t) region =
       add_int b n.Dfg.freq;
       Array.iter (fun a -> add_int b (rank a)) n.Dfg.args;
       Buffer.add_char b '>';
-      List.iter
+      Array.iter
         (fun u -> if inside u then add_int b (rank u) else Buffer.add_char b 'o')
-        (Dfg.succs g id);
-      Buffer.add_char b (if List.mem id outputs then '!' else '.'))
+        regioned.Region.succs.(id);
+      Buffer.add_char b (if regioned.Region.is_output.(id) then '!' else '.'))
     members;
   List.iter
     (fun id ->
@@ -174,31 +172,31 @@ let shape_key regioned prm region =
   let _, _, shape = canonical regioned prm region in
   shape
 
-(* Per-compile state over one regioned DFG: each region's view, built on
-   first use, and the solutions already mapped to real ids, keyed by
-   region index.  Lock-protected so domains can share it. *)
+(* Per-compile state over one regioned DFG: the solution store, each
+   region's view, built on first use, and the solutions already mapped to
+   real ids, keyed by region index.  Lock-protected so domains can share
+   it. *)
 type cache = {
-  own : Memo.t;  (* the store of [eval] calls that pass no [memo] *)
+  store : Memo.t;
   views : (int, view) Hashtbl.t;
   results : (key, result) Hashtbl.t;
   lock : Mutex.t;
 }
 
-let create_cache () =
+let create_cache ?memo () =
   {
-    own = Memo.create ();
+    store = (match memo with Some m -> m | None -> Memo.create ());
     views = Hashtbl.create 64;
     results = Hashtbl.create 256;
     lock = Mutex.create ();
   }
 
-let view cache regioned prm store region =
+let view cache regioned prm region =
   match Mutex.protect cache.lock (fun () -> Hashtbl.find_opt cache.views region) with
-  | Some v when v.store == store -> v
-  | Some v -> { v with store; sid = Memo.intern store v.shape }
+  | Some v -> v
   | None ->
       let ids, rank_of, shape = canonical regioned prm region in
-      let v = { ids; rank_of; shape; store; sid = Memo.intern store shape } in
+      let v = { ids; rank_of; sid = Memo.intern cache.store shape } in
       Mutex.protect cache.lock (fun () ->
           if not (Hashtbl.mem cache.views region) then Hashtbl.add cache.views region v);
       v
@@ -215,66 +213,40 @@ exception Infeasible of string
 
 let infeasible fmt = Format.kasprintf (fun m -> raise (Infeasible m)) fmt
 
-let node_cost g ~level id =
-  let node = Dfg.node g id in
-  match Op.cost_op node.Dfg.kind with
-  | None -> 0.0
-  | Some op -> float_of_int node.Dfg.freq *. Ckks.Cost_model.cost op ~level
+(* Distinct tails of a cut in id order (one inserted operation serves all
+   cut edges sharing a tail); a boundary-in head of a bootstrap cut over
+   [sub] stands for the external producers feeding it. *)
+let cut_tails ?sub cut =
+  List.concat_map
+    (function
+      | Cut.Internal { tail; _ } | Cut.Boundary_out { tail } -> [ tail ]
+      | Cut.Boundary_in { head } -> (
+          match sub with Some sub -> Btsplc.external_producers sub head | None -> []))
+    cut.Cut.edges
+  |> List.sort_uniq compare
 
-(* Distinct tails of a cut (one inserted operation serves all cut edges
-   sharing a tail), with the external producers of boundary-in heads. *)
-let cut_tails g cut ~subgraph_mem =
-  let tails = Hashtbl.create 8 in
-  List.iter
-    (fun edge ->
-      match edge with
-      | Cut.Internal { tail; _ } | Cut.Boundary_out { tail } ->
-          Hashtbl.replace tails tail ()
-      | Cut.Boundary_in { head } ->
-          List.iter
-            (fun p ->
-              if Op.produces_ct (Dfg.node g p).Dfg.kind && not (subgraph_mem p) then
-                Hashtbl.replace tails p ())
-            (Dfg.preds g head))
-    cut.Cut.edges;
-  Det.sorted_keys tails
-
-let liveout regioned region id =
-  let g = regioned.Region.dfg in
-  List.mem id (Dfg.outputs g)
-  || List.exists (fun u -> regioned.Region.region_of.(u) <> region) (Dfg.succs g id)
+(* Cut edges from [id] to each of [heads], plus its boundary edge when [id]
+   is a region live-out. *)
+let cut_after regioned ~heads id =
+  let internal = List.map (fun head -> Cut.Internal { tail = id; head }) heads in
+  if regioned.Region.is_live_out.(id) then Cut.Boundary_out { tail = id } :: internal
+  else internal
 
 (* Forced cut of EVA's waterline strategy: a rescale immediately after
    every multiplication unit (Mul_cp directly; Mul_cc through its relin). *)
 let eva_cut regioned ~region =
-  let g = regioned.Region.dfg in
+  let kind id = (Dfg.node regioned.Region.dfg id).Dfg.kind in
   let members = Region.ct_members regioned region in
-  let unit_output id =
-    let node = Dfg.node g id in
-    match node.Dfg.kind with
-    | Op.Mul_cp -> true
-    | Op.Relin -> true
-    | _ -> false
-  in
-  let in_region id = regioned.Region.region_of.(id) = region && Op.produces_ct (Dfg.node g id).Dfg.kind in
+  let unit_output id = match kind id with Op.Mul_cp | Op.Relin -> true | _ -> false in
   let edges =
     List.concat_map
       (fun id ->
         if not (unit_output id) then []
-        else
-          let internal =
-            Dfg.succs g id |> List.filter in_region
-            |> List.map (fun head -> Cut.Internal { tail = id; head })
-          in
-          if liveout regioned region id then Cut.Boundary_out { tail = id } :: internal
-          else internal)
+        else cut_after regioned ~heads:(Region.ct_succs regioned ~region id) id)
       members
   in
   let sink_side =
-    List.filter
-      (fun id ->
-        not (unit_output id) && not (Op.is_mul (Dfg.node g id).Dfg.kind))
-      members
+    List.filter (fun id -> not (unit_output id) && not (Op.is_mul (kind id))) members
   in
   { Cut.edges; value = 0.0; sink_side; cert = None; node_of = [||] }
 
@@ -284,56 +256,36 @@ let eva_cut regioned ~region =
    their in-region operand rescaled first for the scales to match, so they
    and their descendants sit below the cut. *)
 let pars_cut regioned ~region =
-  let g = regioned.Region.dfg in
   let members = Region.ct_members regioned region in
-  let in_region id =
-    regioned.Region.region_of.(id) = region && Op.produces_ct (Dfg.node g id).Dfg.kind
-  in
-  let forced = Hashtbl.create 8 in
+  let index = Region.ct_index regioned ~region in
+  let forced = Array.make (List.length members) false in
+  let is_forced id = index id >= 0 && forced.(index id) in
   List.iter
     (fun id ->
-      let cross_join =
-        (Dfg.node g id).Dfg.kind = Op.Add_cc
-        && List.exists
-             (fun p -> Op.produces_ct (Dfg.node g p).Dfg.kind && not (in_region p))
-             (Dfg.preds g id)
-      in
-      let pred_forced = List.exists (Hashtbl.mem forced) (Dfg.preds g id) in
-      if cross_join || pred_forced then Hashtbl.add forced id ())
+      forced.(index id) <-
+        regioned.Region.is_cross_join.(id)
+        || Array.exists is_forced regioned.Region.preds.(id))
     members;
   let edges =
     List.concat_map
       (fun id ->
-        if Hashtbl.mem forced id then []
+        if is_forced id then []
         else
-          let internal =
-            Dfg.succs g id
-            |> List.filter (fun u -> in_region u && Hashtbl.mem forced u)
-            |> List.map (fun head -> Cut.Internal { tail = id; head })
-          in
-          if liveout regioned region id then Cut.Boundary_out { tail = id } :: internal
-          else internal)
+          cut_after regioned
+            ~heads:(List.filter is_forced (Region.ct_succs regioned ~region id))
+            id)
       members
   in
-  { Cut.edges; value = 0.0; sink_side = List.filter (Hashtbl.mem forced) members; cert = None; node_of = [||] }
+  { Cut.edges; value = 0.0; sink_side = List.filter is_forced members; cert = None; node_of = [||] }
 
 (* Forced bootstrap placement at the region's end (Fhelipe / DaCapo):
    bootstrap every live-out of the level-0 subgraph. *)
-let region_end_bts_cut regioned ~region ~subgraph =
-  let in_sub = Hashtbl.create 16 in
-  List.iter (fun id -> Hashtbl.add in_sub id ()) subgraph;
-  let g = regioned.Region.dfg in
+let region_end_bts_cut sub subgraph =
   let edges =
     List.filter_map
-      (fun id ->
-        let out =
-          List.mem id (Dfg.outputs g)
-          || List.exists (fun u -> not (Hashtbl.mem in_sub u)) (Dfg.succs g id)
-        in
-        if out then Some (Cut.Boundary_out { tail = id }) else None)
+      (fun id -> if Btsplc.live_out sub id then Some (Cut.Boundary_out { tail = id }) else None)
       subgraph
   in
-  ignore region;
   { Cut.edges; value = 0.0; sink_side = []; cert = None; node_of = [||] }
 
 let compute ?fuel regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
@@ -372,22 +324,24 @@ let compute ?fuel regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~rescale
                  reset the scale to q *before* a multiplication and shift
                  the whole downstream scale chain (visible when the entry
                  scale differs from q, i.e. q_w < q). *)
-              let muls = Region.muls regioned region in
-              if muls = [] then members
+              if not (Region.has_mul_cc regioned region || Region.has_mul_cp regioned region)
+              then members
               else begin
-                let below = Hashtbl.create 16 in
-                List.iter (fun m -> Hashtbl.add below m ()) muls;
-                let member id = List.mem id members in
+                let is_mul id = Op.is_mul (Dfg.node g id).Dfg.kind in
+                let index = Region.ct_index regioned ~region in
+                let below = Array.make (List.length members) false in
                 List.iter
                   (fun id ->
-                    if
-                      (not (Hashtbl.mem below id))
-                      && List.exists (Hashtbl.mem below) (Dfg.preds g id)
-                    then Hashtbl.add below id ())
+                    below.(index id) <-
+                      is_mul id
+                      || Array.exists
+                           (fun p -> index p >= 0 && below.(index p))
+                           regioned.Region.preds.(id))
                   members;
-                List.filter (fun id -> Hashtbl.mem below id && not (List.mem id muls) && member id) members
+                List.filter (fun id -> below.(index id) && not (is_mul id)) members
               end)
     in
+    let sub = Btsplc.subgraph regioned ~region bts_subgraph in
     let bts_cut =
       match bts with
       | None -> None
@@ -397,8 +351,7 @@ let compute ?fuel regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~rescale
             match bts_mode with
             | Bts_min_cut ->
                 Some (Btsplc.run ?fuel regioned prm ~region ~lbts ~subgraph:bts_subgraph)
-            | Bts_region_end ->
-                Some (region_end_bts_cut regioned ~region ~subgraph:bts_subgraph))
+            | Bts_region_end -> Some (region_end_bts_cut sub bts_subgraph))
     in
     let final_level id =
       match (bts, bts_cut) with
@@ -407,14 +360,14 @@ let compute ?fuel regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~rescale
     in
     let op_latency =
       List.fold_left
-        (fun acc id -> acc +. node_cost g ~level:(final_level id) id)
+        (fun acc id -> acc +. Latency.op_cost g ~level:(final_level id) id)
         0.0 members
     in
     let rescale_latency =
       match smo_cut with
       | None -> 0.0
       | Some cut ->
-          let tails = cut_tails g cut ~subgraph_mem:(fun _ -> true) in
+          let tails = cut_tails cut in
           List.fold_left
             (fun acc tail ->
               let freq = float_of_int (Dfg.node g tail).Dfg.freq in
@@ -439,8 +392,7 @@ let compute ?fuel regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~rescale
           in
           match bts_cut with
           | Some cut ->
-              let subgraph_mem id = List.mem id bts_subgraph in
-              let base = tails_cost (cut_tails g cut ~subgraph_mem) in
+              let base = tails_cost (cut_tails ~sub cut) in
               (* Rescale tips whose live-out branch bypasses the subgraph
                  carry their own bootstrap, unless the bootstrap cut sits
                  directly on the boundary (then the insertion is shared). *)
@@ -463,13 +415,11 @@ let compute ?fuel regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~rescale
               base +. boundary_extra
           | None -> (
               match smo_cut with
-              | Some cut -> tails_cost (cut_tails g cut ~subgraph_mem:(fun _ -> true))
+              | Some cut -> tails_cost (cut_tails cut)
               | None ->
                   (* neither a rescale nor a level-0 subgraph: the
                      bootstrap lands on the region's live-out edges *)
-                  let outs =
-                    List.filter (fun id -> liveout regioned region id) members
-                  in
+                  let outs = Region.live_out regioned region in
                   if outs = [] then unit_cost else tails_cost outs))
     in
     {
@@ -480,14 +430,14 @@ let compute ?fuel regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~rescale
     }
   end
 
-let eval ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
+let eval ?fuel cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
     ~rescales ~bts =
   let key = { subject = region; entry_level; rescales; bts; smo_mode; bts_mode } in
   match Mutex.protect cache.lock (fun () -> Hashtbl.find_opt cache.results key) with
   | Some r -> r
   | None ->
-      let store = Option.value memo ~default:cache.own in
-      let v = view cache regioned prm store region in
+      let store = cache.store in
+      let v = view cache regioned prm region in
       let skey = { key with subject = v.sid } in
       let r =
         match Memo.find store skey with

@@ -73,12 +73,14 @@ module Memo : sig
 end
 
 type cache
-(** Per-compile state over one regioned DFG: each region's canonical view
-    and the solutions already mapped to its node ids, keyed by region
-    index.  Lock-protected, like {!Memo.t}. *)
+(** Per-compile state over one regioned DFG: its solution store, each
+    region's canonical view (the shape interned in that store) and the
+    solutions already mapped to its node ids, keyed by region index.
+    Lock-protected, like {!Memo.t}. *)
 
-val create_cache : unit -> cache
-(** A cache whose own fresh store serves every {!eval} given no [memo]. *)
+val create_cache : ?memo:Memo.t -> unit -> cache
+(** [memo] (default: a fresh store) is the store every {!eval} on this
+    cache consults after the per-compile layer and populates on compute. *)
 
 val shape_key : Region.t -> Ckks.Params.t -> int -> string
 (** [shape_key regioned prm region] is the canonical shape described
@@ -89,7 +91,6 @@ exception Infeasible of string
 
 val eval :
   ?fuel:Fuel.t ->
-  ?memo:Memo.t ->
   cache ->
   Region.t ->
   Ckks.Params.t ->
@@ -102,9 +103,7 @@ val eval :
   result
 (** [fuel] (default unlimited) is spent by the min-cut solvers on a
     store miss; hits are free, and fuel is not part of the memo key, so
-    degraded compiles remain deterministic.  [memo] (default: the
-    [cache]'s own store) is consulted after the per-compile [cache] and
-    populated on compute.
+    degraded compiles remain deterministic.
     @raise Infeasible when the region cannot run at the requested level
     (e.g. rescaling at level 0).
     @raise Fuel.Exhausted when the step budget runs out. *)

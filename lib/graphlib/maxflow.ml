@@ -76,6 +76,10 @@ let add_edge net ~src ~dst ~cap =
   net.pending.(dst) <- bwd :: net.pending.(dst);
   net.edges_added <- net.edges_added + 1
 
+let add_with_reverse net ~src ~dst ~cap =
+  add_edge net ~src ~dst ~cap;
+  if cap < infinity then add_edge net ~src:dst ~dst:src ~cap:infinity
+
 let build net =
   if not net.built then begin
     net.adj <-

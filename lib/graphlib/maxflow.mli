@@ -19,6 +19,12 @@ val add_edge : t -> src:int -> dst:int -> cap:float -> unit
 (** Add a directed arc in O(1) (adjacency lists are materialised once by
     the first [max_flow]).  Negative capacities raise [Invalid_argument]. *)
 
+val add_with_reverse : t -> src:int -> dst:int -> cap:float -> unit
+(** Add a finite arc together with the infinite reverse arc that keeps the
+    cut's source side closed under predecessors (so each path crosses the
+    cut exactly once) — the arc shape of SMOPLC and BTSPLC.  Infinite arcs
+    get no companion. *)
+
 type stats = {
   nodes : int;
   arcs : int;  (** Arc records, i.e. 2 per [add_edge] (forward + residual). *)

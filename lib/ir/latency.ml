@@ -10,13 +10,13 @@ let charge_level (g : Dfg.t) (info : Scale_check.info array) id =
           (fun acc a -> if info.(a).Scale_check.is_ct then max acc info.(a).level else acc)
           0 node.Dfg.args
 
-let node_cost _prm g info id =
+let op_cost g ~level id =
   let node = Dfg.node g id in
   match Op.cost_op node.Dfg.kind with
   | None -> 0.0
-  | Some op ->
-      let level = charge_level g info id in
-      float_of_int node.Dfg.freq *. Ckks.Cost_model.cost op ~level
+  | Some op -> float_of_int node.Dfg.freq *. Ckks.Cost_model.cost op ~level
+
+let node_cost _prm g info id = op_cost g ~level:(charge_level g info id) id
 
 let infer_or ~info prm g =
   match info with Some i -> i | None -> Scale_check.infer prm g

@@ -7,8 +7,14 @@
     charged at their target level; every other operation at its operand
     level. *)
 
+val op_cost : Dfg.t -> level:int -> int -> float
+(** [op_cost g ~level id]: the node's Table 2 latency at [level] times its
+    [freq] (0 for inputs and constants) — the one per-node cost every
+    planner layer sums. *)
+
 val node_cost : Ckks.Params.t -> Dfg.t -> Scale_check.info array -> int -> float
-(** Latency (ms) of a single node given the analysis result. *)
+(** Latency (ms) of a single node given the analysis result: {!op_cost}
+    at the level the node is charged at. *)
 
 val total : ?info:Scale_check.info array -> Ckks.Params.t -> Dfg.t -> float
 (** Freq-weighted latency of the whole graph, ms.  Pass [?info] to reuse

@@ -273,18 +273,18 @@ let memo_hits_equal_fresh_computes () =
     let hits, _ = Resbm.Region_eval.Memo.stats store in
     checkb (label ^ ": the shared store was hit") true (hits > 0);
     let shapes = Array.init r.Resbm.Region.count (shape r) in
-    let shared = Resbm.Region_eval.create_cache () in
+    let shared = Resbm.Region_eval.create_cache ~memo:store () in
     let checked = ref 0 in
     List.iter
       (fun (s, entry_level, rescales, bts, smo_mode, bts_mode) ->
         Array.iteri
           (fun region s' ->
             if s' = s then begin
-              let eval ?memo cache =
-                Resbm.Region_eval.eval ?memo cache r prm ~smo_mode ~bts_mode ~region
+              let eval cache =
+                Resbm.Region_eval.eval cache r prm ~smo_mode ~bts_mode ~region
                   ~entry_level ~rescales ~bts
               in
-              let a = eval ~memo:store shared in
+              let a = eval shared in
               let b = eval (Resbm.Region_eval.create_cache ()) in
               incr checked;
               if

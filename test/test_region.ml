@@ -142,6 +142,74 @@ let rejects_invalid_graph () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* --- the region-local graph ------------------------------------------- *)
+
+(* Reference definitions, straight from the DFG queries: [Region.build]'s
+   precomputed region-local graph must equal them field by field, in
+   order for the adjacency arrays. *)
+let local_graph_mismatches g r =
+  let region_of = r.Resbm.Region.region_of in
+  let kind id = (Dfg.node g id).Dfg.kind in
+  let outs = Dfg.outputs g in
+  let bad = ref [] in
+  let expect what ok = if not ok then bad := what :: !bad in
+  for id = 0 to Dfg.node_count g - 1 do
+    let at what = Printf.sprintf "%s of %%%d" what id in
+    expect (at "preds") (r.Resbm.Region.preds.(id) = Array.of_list (Dfg.preds g id));
+    expect (at "succs") (r.Resbm.Region.succs.(id) = Array.of_list (Dfg.succs g id));
+    expect (at "is_output") (r.Resbm.Region.is_output.(id) = List.mem id outs);
+    expect (at "is_live_out")
+      (r.Resbm.Region.is_live_out.(id)
+      = (List.mem id outs
+        || List.exists (fun u -> region_of.(u) <> region_of.(id)) (Dfg.succs g id)));
+    expect (at "is_cross_join")
+      (r.Resbm.Region.is_cross_join.(id)
+      = (kind id = Op.Add_cc
+        && List.exists
+             (fun p -> Op.produces_ct (kind p) && region_of.(p) <> region_of.(id))
+             (Dfg.preds g id)))
+  done;
+  let ct_pos = Array.make (Dfg.node_count g) (-1) in
+  for region = 0 to r.Resbm.Region.count - 1 do
+    let at what = Printf.sprintf "%s of R%d" what region in
+    let members = Array.to_list (Resbm.Region.members r region) in
+    let ct = List.filter (fun id -> Op.produces_ct (kind id)) members in
+    List.iteri (fun i id -> ct_pos.(id) <- i) ct;
+    let muls = List.filter (fun id -> Op.is_mul (kind id)) members in
+    expect (at "ct_regions") (Array.to_list r.Resbm.Region.ct_regions.(region) = ct);
+    expect (at "ct_members") (Resbm.Region.ct_members r region = ct);
+    expect (at "muls") (Resbm.Region.muls r region = muls);
+    expect (at "mul_cc")
+      (Resbm.Region.has_mul_cc r region = List.exists (fun id -> kind id = Op.Mul_cc) muls);
+    expect (at "mul_cp")
+      (Resbm.Region.has_mul_cp r region = List.exists (fun id -> kind id = Op.Mul_cp) muls);
+    expect (at "live_out")
+      (Resbm.Region.live_out r region
+      = List.filter
+          (fun id ->
+            List.mem id outs
+            || List.exists (fun u -> region_of.(u) <> region) (Dfg.succs g id))
+          ct)
+  done;
+  expect "ct_pos" (r.Resbm.Region.ct_pos = ct_pos);
+  List.rev !bad
+
+let local_graph_matches_reference =
+  qcheck ~count:60 "region-local graph equals its DFG definition"
+    QCheck2.Gen.(pair (random_dfg_gen ~max_nodes:60 ~max_depth:8) bool)
+    (fun (params, sink) ->
+      let g = build_random_dfg params in
+      local_graph_mismatches g (Resbm.Region.build ~sink g) = [])
+
+let local_graph_matches_reference_on_models () =
+  List.iter
+    (fun (m : Nn.Model.t) ->
+      let g = (Nn.Lowering.lower m).Nn.Lowering.dfg in
+      match local_graph_mismatches g (Resbm.Region.build g) with
+      | [] -> ()
+      | what :: _ -> Alcotest.failf "%s: %s differs" m.Nn.Model.name what)
+    (Nn.Model.paper_models @ [ Nn.Model.lenet5; Nn.Model.tiny ])
+
 let suite =
   [
     case "region count = depth + 1" region_count_is_depth_plus_one;
@@ -154,4 +222,7 @@ let suite =
     case "live-out detection" live_out_detection;
     case "region mul queries" region_mul_queries;
     case "rejects invalid graphs" rejects_invalid_graph;
+    local_graph_matches_reference;
+    case "region-local graph equals its DFG definition on all models"
+      local_graph_matches_reference_on_models;
   ]

@@ -139,6 +139,37 @@ let no_transit_pricing_still_compiles =
           Result.is_ok (Scale_check.run prm outcome.Resbm.Plan.dfg)
       | exception Resbm.Btsmgr.No_plan _ -> true)
 
+let repairs_are_logged () =
+  (* Every level-deficit repair emits one [plan.repair] debug record.
+     Random graphs have no residual spans and plan without repairs; the
+     residual-heavy tiny model at input level 8 repairs twice. *)
+  let repairs prm g =
+    let regioned = Resbm.Region.build g in
+    let config = { Resbm.Btsmgr.resbm_config with price_transits = false } in
+    match Resbm.Btsmgr.plan ~config regioned prm with
+    | exception Resbm.Btsmgr.No_plan _ -> 0
+    | plan ->
+        let log = Obs.Log.create () in
+        let outcome = Obs.with_log log (fun () -> Resbm.Plan.apply regioned prm plan) in
+        let records =
+          List.filter (fun r -> r.Obs.Log.event = "plan.repair") (Obs.Log.records log)
+        in
+        checki "one record per repair" outcome.Resbm.Plan.repair_bootstraps
+          (List.length records);
+        List.iter
+          (fun r ->
+            List.iter
+              (fun k -> checkb ("field " ^ k) true (List.mem_assoc k r.Obs.Log.fields))
+              [ "node"; "op"; "region"; "have"; "want"; "join" ])
+          records;
+        outcome.Resbm.Plan.repair_bootstraps
+  in
+  for seed = 0 to 19 do
+    ignore (repairs prm (build_random_dfg (seed, 40, 10)))
+  done;
+  let tiny = (Nn.Lowering.lower Nn.Model.tiny).Nn.Lowering.dfg in
+  checkb "tiny repairs" true (repairs { prm with input_level = 8 } tiny > 0)
+
 let transit_pricing_never_hurts () =
   (* on the residual-heavy model the priced DP must be at least as good *)
   let lowered = Nn.Lowering.lower Nn.Model.tiny in
@@ -156,6 +187,7 @@ let transit_pricing_never_hurts () =
 let suite =
   [
     case "dot: structure" dot_structure;
+    case "plan: every repair is logged" repairs_are_logged;
     case "dot: region clusters" dot_clusters;
     case "dot: annotations" dot_annotations;
     case "dot: management nodes rendered" dot_managed_has_management_nodes;
