@@ -76,6 +76,11 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
   let cache = Region_eval.create_cache ?memo () in
   let l_max = prm.Ckks.Params.l_max in
   let cross_by_rb = cross_edges_by_consumer regioned in
+  (* Candidates are priced by [latency]; only the kept segments [eval]. *)
+  let latency ~region ~entry_level ~rescales ~bts =
+    Region_eval.latency ~fuel cache regioned prm ~smo_mode:config.smo_mode
+      ~bts_mode:config.bts_mode ~region ~entry_level ~rescales ~bts
+  in
   let eval ~region ~entry_level ~rescales ~bts =
     Region_eval.eval ~fuel cache regioned prm ~smo_mode:config.smo_mode
       ~bts_mode:config.bts_mode ~region ~entry_level ~rescales ~bts
@@ -94,8 +99,7 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
         |];
       segments = [];
       dp_latency_ms =
-        (eval ~region:0 ~entry_level:prm.Ckks.Params.input_level ~rescales:0 ~bts:None)
-          .Region_eval.latency_ms;
+        latency ~region:0 ~entry_level:prm.Ckks.Params.input_level ~rescales:0 ~bts:None;
     }
   else begin
     let min_lat = Array.make count infinity in
@@ -107,6 +111,15 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
        minus rescales otherwise.  Filled as the outer loop finalises each
        boundary; used to price transits exactly as the repair pass will. *)
     let prod_level = Array.make count prm.Ckks.Params.input_level in
+    (* [oldest.(src)]: the oldest producer region with a cross edge into
+       [(src, last]], or [src] if none — the lowest [prod_level] entry that
+       transit pricing reads for any segment from [src]. *)
+    let oldest = Array.make count 0 in
+    let lo = ref last in
+    for src = last downto 0 do
+      oldest.(src) <- min !lo src;
+      List.iter (fun (ra, _) -> lo := min !lo ra) cross_by_rb.(src)
+    done;
     min_lat.(0) <- 0.0;
     boundary_scale.(0) <- prm.Ckks.Params.input_scale_bits;
     boundary_level.(0) <- prm.Ckks.Params.input_level;
@@ -164,15 +177,14 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
            then raise Exit
          with Exit -> raise_notrace Not_found);
         (* Latency of the regions [src, dst). *)
-        let latency = ref 0.0 in
+        let sum = ref 0.0 in
         (try
            for r = src to dst - 1 do
-             let res =
-               eval ~region:r ~entry_level:levels.(r - src)
-                 ~rescales:sp.Scalemgr.infos.(r - src).rescales
-                 ~bts:(if r = src then bts_target else None)
-             in
-             latency := !latency +. res.Region_eval.latency_ms
+             sum :=
+               !sum
+               +. latency ~region:r ~entry_level:levels.(r - src)
+                    ~rescales:sp.Scalemgr.infos.(r - src).rescales
+                    ~bts:(if r = src then bts_target else None)
            done
          with Region_eval.Infeasible _ -> raise_notrace Not_found);
         (* Exact repair pricing: values produced before [src] (levels
@@ -184,8 +196,8 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
           List.iter
             (fun (ra, freq) ->
               if ra < src && prod_level.(ra) < need && need <= l_max then
-                latency :=
-                  !latency
+                sum :=
+                  !sum
                   +. float_of_int freq
                      *. Ckks.Cost_model.cost Ckks.Cost_model.Bootstrap ~level:need)
             cross_by_rb.(rb)
@@ -196,18 +208,18 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
             seg_bts = bts_target;
             seg_infos = sp.Scalemgr.infos;
             seg_levels = levels;
-            seg_latency = !latency;
+            seg_latency = !sum;
           }
       end
     in
     for src = 0 to last - 1 do
       if min_lat.(src) < infinity then begin
         (* The chain to [src] is final: rebuild the production levels of
-           every region it covers (a fresh walk — intermediate boundaries
-           belong to other chains and must not leak in). *)
-        Array.fill prod_level 0 count prm.Ckks.Params.input_level;
+           the regions [oldest.(src), src) it covers (a fresh walk —
+           intermediate boundaries belong to other chains and must not leak
+           in; entries below are never read from this [src]). *)
         let at = ref src in
-        while !at > 0 do
+        while !at > oldest.(src) do
           match best.(!at) with
           | None -> at := 0
           | Some seg ->

@@ -74,10 +74,25 @@ let build ?(sink = true) dfg =
     Array.init n (fun id ->
         is_output.(id) || Array.exists (fun u -> region_of.(u) <> region_of.(id)) succs.(id))
   in
+  (* [scaled]: downstream of a multiplication of the node's own region, so
+     above the region's entry scale until rescaled.  An [Add_cc] joining
+     such a value with one at the entry scale — a ciphertext from another
+     region, or an in-region value no multiplication feeds — must sit
+     below the rescale cut for the scales to agree. *)
+  let scaled = Array.make n false in
+  List.iter
+    (fun id ->
+      scaled.(id) <-
+        Op.is_mul (kind id)
+        || Array.exists (fun p -> region_of.(p) = region_of.(id) && scaled.(p)) preds.(id))
+    order;
   let is_cross_join =
     Array.init n (fun id ->
+        let inside p = region_of.(p) = region_of.(id) in
         kind id = Op.Add_cc
-        && Array.exists (fun p -> is_ct p && region_of.(p) <> region_of.(id)) preds.(id))
+        && (Array.exists (fun p -> is_ct p && not (inside p)) preds.(id)
+           || Array.exists (fun p -> is_ct p && inside p && not scaled.(p)) preds.(id)
+              && Array.exists (fun p -> inside p && scaled.(p)) preds.(id)))
   in
   { dfg; region_of; regions; count; ct_regions; ct_pos; mul_cc = has Op.Mul_cc;
     mul_cp = has Op.Mul_cp; preds; succs; is_output; is_live_out; is_cross_join }

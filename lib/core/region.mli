@@ -34,7 +34,10 @@ type t = private {
   is_output : bool array;  (** node id -> listed in [Dfg.outputs]. *)
   is_live_out : bool array;  (** node id -> an output, or used in another region. *)
   is_cross_join : bool array;
-      (** node id -> an [Add_cc] with a ciphertext operand from another region. *)
+      (** node id -> an [Add_cc] that must follow the rescale cut: it has a
+          ciphertext operand from another region, or it joins a value
+          downstream of a multiplication of its region with an in-region
+          ciphertext no such multiplication feeds (both at the entry scale). *)
 }
 
 val build : ?sink:bool -> Fhe_ir.Dfg.t -> t

@@ -10,10 +10,9 @@ type result = {
   bts_subgraph : int list;
 }
 
-(* [subject] is the region index in a per-compile [cache] and the
-   interned shape id in a {!Memo}. *)
+(* [sid] is a shape id interned in a {!Memo}. *)
 type key = {
-  subject : int;
+  sid : int;
   entry_level : int;
   rescales : int;
   bts : int option;
@@ -78,7 +77,7 @@ module Memo = struct
         Det.iter_sorted (fun shape id -> shape_of.(id) <- shape) t.shapes;
         Det.sorted_keys t.tbl
         |> List.map (fun k ->
-               ( shape_of.(k.subject),
+               ( shape_of.(k.sid),
                  k.entry_level,
                  k.rescales,
                  k.bts,
@@ -172,34 +171,48 @@ let shape_key regioned prm region =
   let _, _, shape = canonical regioned prm region in
   shape
 
+module Int_tbl = Hashtbl.Make (Int)
+
 (* Per-compile state over one regioned DFG: the solution store, each
-   region's view, built on first use, and the solutions already mapped to
-   real ids, keyed by region index.  Lock-protected so domains can share
-   it. *)
+   region's view (built on first use, indexed by region) and the latency
+   of every problem already answered, keyed by [pack].  One domain only:
+   no lock. *)
 type cache = {
   store : Memo.t;
-  views : (int, view) Hashtbl.t;
-  results : (key, result) Hashtbl.t;
-  lock : Mutex.t;
+  mutable views : view option array;
+  latencies : float Int_tbl.t;
 }
 
 let create_cache ?memo () =
   {
     store = (match memo with Some m -> m | None -> Memo.create ());
-    views = Hashtbl.create 64;
-    results = Hashtbl.create 256;
-    lock = Mutex.create ();
+    views = [||];
+    latencies = Int_tbl.create 1024;
   }
 
 let view cache regioned prm region =
-  match Mutex.protect cache.lock (fun () -> Hashtbl.find_opt cache.views region) with
+  if Array.length cache.views = 0 then
+    cache.views <- Array.make regioned.Region.count None;
+  match cache.views.(region) with
   | Some v -> v
   | None ->
       let ids, rank_of, shape = canonical regioned prm region in
       let v = { ids; rank_of; sid = Memo.intern cache.store shape } in
-      Mutex.protect cache.lock (fun () ->
-          if not (Hashtbl.mem cache.views region) then Hashtbl.add cache.views region v);
+      cache.views.(region) <- Some v;
       v
+
+(* A store key as one int: the shape id, then [entry_level], [rescales]
+   and [bts] (0 for [None], target + 1 otherwise) in 8 bits each, then the
+   two modes.  [-1] when a level field is out of range: such a problem is
+   never tabled and is read from the store on every query. *)
+let pack (k : key) =
+  let bts = match k.bts with None -> 0 | Some l when l >= 0 -> l + 1 | Some _ -> -1 in
+  let smo = match k.smo_mode with Smo_min_cut -> 0 | Smo_eva -> 1 | Smo_pars -> 2 in
+  let bts_mode = match k.bts_mode with Bts_min_cut -> 0 | Bts_region_end -> 1 in
+  if (k.entry_level lor k.rescales lor bts) land lnot 0xff <> 0 then -1
+  else
+    (((((((k.sid lsl 8) lor k.entry_level) lsl 8) lor k.rescales) lsl 8) lor bts) lsl 3)
+    lor (smo lsl 1) lor bts_mode
 
 let map_result f r =
   {
@@ -430,32 +443,41 @@ let compute ?fuel regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~rescale
     }
   end
 
+(* The store's solution to [region]'s problem: [Left] the canonical one
+   (rank space) on a hit; [Right] a fresh compute (ids) on a miss, added to
+   the store in rank space.  Fuel is deliberately absent from the key: a
+   hit costs no steps, and store population order is deterministic, so
+   degraded compiles stay reproducible. *)
+let solve ?fuel cache v regioned prm (key : key) ~region =
+  match Memo.find cache.store key with
+  | Some canonical -> Either.Left canonical
+  | None ->
+      Obs.incr "region_eval.computes";
+      let r =
+        compute ?fuel regioned prm ~smo_mode:key.smo_mode ~bts_mode:key.bts_mode ~region
+          ~entry_level:key.entry_level ~rescales:key.rescales ~bts:key.bts
+      in
+      Memo.add cache.store key (map_result (Hashtbl.find v.rank_of) r);
+      Either.Right r
+
 let eval ?fuel cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
     ~rescales ~bts =
-  let key = { subject = region; entry_level; rescales; bts; smo_mode; bts_mode } in
-  match Mutex.protect cache.lock (fun () -> Hashtbl.find_opt cache.results key) with
-  | Some r -> r
+  let v = view cache regioned prm region in
+  let key = { sid = v.sid; entry_level; rescales; bts; smo_mode; bts_mode } in
+  match solve ?fuel cache v regioned prm key ~region with
+  | Either.Left canonical ->
+      Obs.incr "region_eval.memo_hits";
+      map_result (Array.get v.ids) canonical
+  | Either.Right r -> r
+
+let latency ?fuel cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
+    ~rescales ~bts =
+  let v = view cache regioned prm region in
+  let key = { sid = v.sid; entry_level; rescales; bts; smo_mode; bts_mode } in
+  let packed = pack key in
+  match Int_tbl.find_opt cache.latencies packed with
+  | Some l -> l
   | None ->
-      let store = cache.store in
-      let v = view cache regioned prm region in
-      let skey = { key with subject = v.sid } in
-      let r =
-        match Memo.find store skey with
-        | Some canonical ->
-            Obs.incr "region_eval.memo_hits";
-            map_result (Array.get v.ids) canonical
-        | None ->
-            (* Fuel is deliberately absent from both keys: a hit costs no
-               steps, and cache population order is deterministic, so
-               degraded compiles stay reproducible. *)
-            Obs.incr "region_eval.computes";
-            let r =
-              compute ?fuel regioned prm ~smo_mode ~bts_mode ~region ~entry_level
-                ~rescales ~bts
-            in
-            Memo.add store skey (map_result (Hashtbl.find v.rank_of) r);
-            r
-      in
-      Mutex.protect cache.lock (fun () ->
-          if not (Hashtbl.mem cache.results key) then Hashtbl.add cache.results key r);
-      r
+      let (Either.Left r | Either.Right r) = solve ?fuel cache v regioned prm key ~region in
+      if packed >= 0 then Int_tbl.add cache.latencies packed r.latency_ms;
+      r.latency_ms

@@ -74,13 +74,13 @@ end
 
 type cache
 (** Per-compile state over one regioned DFG: its solution store, each
-    region's canonical view (the shape interned in that store) and the
-    solutions already mapped to its node ids, keyed by region index.
-    Lock-protected, like {!Memo.t}. *)
+    region's canonical view (the shape interned in that store), indexed
+    by region, and the latency of every problem already answered by
+    {!latency}.  Single-domain: it takes no lock, so one compile owns it. *)
 
 val create_cache : ?memo:Memo.t -> unit -> cache
-(** [memo] (default: a fresh store) is the store every {!eval} on this
-    cache consults after the per-compile layer and populates on compute. *)
+(** [memo] (default: a fresh store) is the store every {!eval} and
+    {!latency} on this cache consults and populates on compute. *)
 
 val shape_key : Region.t -> Ckks.Params.t -> int -> string
 (** [shape_key regioned prm region] is the canonical shape described
@@ -101,9 +101,34 @@ val eval :
   rescales:int ->
   bts:int option ->
   result
-(** [fuel] (default unlimited) is spent by the min-cut solvers on a
+(** The full solution, cuts and subgraph in node ids: a store hit is
+    mapped back through the region's rank -> id array (counted as
+    [region_eval.memo_hits]), a miss is computed and stored (counted as
+    [region_eval.computes]).  Every call maps afresh, so it is meant for
+    the segments a plan keeps, not for pricing candidates.
+
+    [fuel] (default unlimited) is spent by the min-cut solvers on a
     store miss; hits are free, and fuel is not part of the memo key, so
     degraded compiles remain deterministic.
     @raise Infeasible when the region cannot run at the requested level
     (e.g. rescaling at level 0).
     @raise Fuel.Exhausted when the step budget runs out. *)
+
+val latency :
+  ?fuel:Fuel.t ->
+  cache ->
+  Region.t ->
+  Ckks.Params.t ->
+  smo_mode:smo_mode ->
+  bts_mode:bts_mode ->
+  region:int ->
+  entry_level:int ->
+  rescales:int ->
+  bts:int option ->
+  float
+(** [(eval …).latency_ms], bit for bit, without mapping any cut: the [L]
+    term of a candidate segment.  The cache tables each answer by shape
+    and problem, so repeat queries (any region of the same shape) cost
+    one int-keyed lookup; a first query reads the store's canonical
+    solution, and only a store miss computes (and stores) it.  Raises as
+    {!eval} does; an infeasible problem is never tabled. *)

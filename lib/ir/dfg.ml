@@ -183,19 +183,13 @@ let kill g id =
   n.dead <- true;
   n.args <- [||]
 
-let uniq ids =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun id ->
-      if Hashtbl.mem seen id then false
-      else begin
-        Hashtbl.add seen id ();
-        true
-      end)
-    ids
+(* Args are few (at most two in a valid DFG): a list scan beats a set. *)
+let preds g id =
+  List.rev
+    (Array.fold_left (fun acc a -> if List.mem a acc then acc else a :: acc) [] (node g id).args)
 
-let preds g id = uniq (Array.to_list (node g id).args)
-let succs g id = uniq (List.rev (node g id).users)
+(* [add_user] keeps [users] duplicate-free. *)
+let succs g id = List.rev (node g id).users
 
 let to_digraph g =
   let dg = Graphlib.Digraph.create ~capacity:(max 1 g.len) () in

@@ -81,7 +81,7 @@ val preds : t -> int -> int list
 (** Unique argument ids, in argument order. *)
 
 val succs : t -> int -> int list
-(** Unique user ids. *)
+(** Unique user ids, in the order the uses were added. *)
 
 val topo_order : t -> int list
 (** Live nodes in topological (def-before-use) order.

@@ -93,6 +93,93 @@ let min_level_never_beyond_max_level =
       in
       minimal.Resbm.Btsmgr.dp_latency_ms <= maxed.Resbm.Btsmgr.dp_latency_ms +. 1e-6)
 
+(* The DP objective recomputed from the plan it returns: every region of
+   the chosen segments at its action's levels, the final region, and —
+   when transits are priced — a bootstrap at the consumer's entry level
+   for each value that flies from a region before a segment's source into
+   the segment, below that level.  Production levels come from the final
+   chain alone, so this pins down the chain walk that the DP does per
+   source. *)
+let chain_cost ~price_transits r prm (plan : Resbm.Btsmgr.plan) =
+  let g = r.Resbm.Region.dfg in
+  let actions = plan.Resbm.Btsmgr.actions in
+  let last = r.Resbm.Region.count - 1 in
+  let cache = Resbm.Region_eval.create_cache () in
+  let latency region (a : Resbm.Btsmgr.region_action) ~rescales =
+    (Resbm.Region_eval.eval cache r prm ~smo_mode:Resbm.Region_eval.Smo_min_cut
+       ~bts_mode:Resbm.Region_eval.Bts_min_cut ~region ~entry_level:a.Resbm.Btsmgr.entry_level
+       ~rescales
+       ~bts:(Option.map (fun b -> b.Resbm.Btsmgr.target) a.Resbm.Btsmgr.bts))
+      .Resbm.Region_eval.latency_ms
+  in
+  let prod ra =
+    let a = actions.(ra) in
+    let base = a.Resbm.Btsmgr.entry_level - a.Resbm.Btsmgr.rescales in
+    match a.Resbm.Btsmgr.bts with Some b -> max b.Resbm.Btsmgr.target base | None -> base
+  in
+  let crossing =
+    List.concat_map
+      (fun n ->
+        let ra = r.Resbm.Region.region_of.(n.Dfg.id) in
+        if not (Op.produces_ct n.Dfg.kind) then []
+        else
+          Array.to_list r.Resbm.Region.succs.(n.Dfg.id)
+          |> List.map (fun u -> r.Resbm.Region.region_of.(u))
+          |> List.filter (fun rb -> rb > ra + 1)
+          |> List.sort_uniq compare
+          |> List.map (fun rb -> (ra, rb, n.Dfg.freq)))
+      (Dfg.live_nodes g)
+  in
+  List.fold_left
+    (fun acc (src, dst) ->
+      let regions = ref 0.0 in
+      for region = src to dst - 1 do
+        regions :=
+          !regions +. latency region actions.(region) ~rescales:actions.(region).Resbm.Btsmgr.rescales
+      done;
+      let transits =
+        List.fold_left
+          (fun acc (ra, rb, freq) ->
+            let need = actions.(rb).Resbm.Btsmgr.entry_level in
+            if price_transits && rb > src && rb <= dst && ra < src && prod ra < need
+               && need <= prm.Ckks.Params.l_max
+            then
+              acc
+              +. float_of_int freq *. Ckks.Cost_model.cost Ckks.Cost_model.Bootstrap ~level:need
+            else acc)
+          0.0 crossing
+      in
+      acc +. !regions +. transits)
+    0.0 plan.Resbm.Btsmgr.segments
+  +. latency last actions.(last) ~rescales:0
+
+let objective_is_chain_cost ~price_transits ~l_max g =
+  let r = Resbm.Region.build g in
+  let prm = { prm with l_max; input_level = 2 } in
+  let config = { Resbm.Btsmgr.resbm_config with price_transits } in
+  match Resbm.Btsmgr.plan ~config r prm with
+  | exception Resbm.Btsmgr.No_plan _ -> true
+  | plan ->
+      let expected = chain_cost ~price_transits r prm plan in
+      Float.abs (plan.Resbm.Btsmgr.dp_latency_ms -. expected) <= 1e-9 *. Float.abs expected
+
+let dp_objective_is_the_chain_cost =
+  qcheck ~count:40 "the DP objective is the chosen chain's cost"
+    (QCheck2.Gen.pair (random_dfg_gen ~max_nodes:60 ~max_depth:12) QCheck2.Gen.bool)
+    (fun (params, price_transits) ->
+      objective_is_chain_cost ~price_transits ~l_max:5 (build_random_dfg ~residual:true params))
+
+(* Transit prices that a stale production level would change are rare:
+   sweep enough full-size residual graphs to meet several. *)
+let dp_objective_sweep () =
+  for seed = 0 to 299 do
+    if
+      not
+        (objective_is_chain_cost ~price_transits:true ~l_max:4
+           (build_random_dfg ~residual:true (seed, 60, 10)))
+    then Alcotest.failf "seed %d: the DP objective is not its chain's cost" seed
+  done
+
 let extreme_configs_bootstrap_the_inputs () =
   (* inputs at an awkward scale (2^111, just below the rescale threshold)
      with only one fresh level: since Table 1's bootstrap re-encodes at
@@ -145,6 +232,8 @@ let suite =
     bootstrap_targets_within_l_max;
     entry_levels_cover_rescales;
     min_level_never_beyond_max_level;
+    dp_objective_is_the_chain_cost;
+    case "the DP objective is the chosen chain's cost (residual sweep)" dp_objective_sweep;
     case "extreme configs bootstrap the inputs" extreme_configs_bootstrap_the_inputs;
     case "deep chains split into segments" deep_chain_uses_multiple_segments;
     case "single-region programs" single_region_program;

@@ -144,6 +144,51 @@ let random_dfgs_valid =
     (random_dfg_gen ~max_nodes:60 ~max_depth:8)
     (fun params -> Dfg.validate (build_random_dfg params) = Ok ())
 
+(* [Dfg.preds]/[Dfg.succs] as they were defined before [succs] relied on
+   [add_user] keeping [users] duplicate-free: first occurrences, kept
+   through a hash set. *)
+let uniq ids =
+  let seen = Hashtbl.create 8 in
+  List.filter
+    (fun id ->
+      if Hashtbl.mem seen id then false
+      else begin
+        Hashtbl.add seen id ();
+        true
+      end)
+    ids
+
+let preds_succs_match_uniq g =
+  List.for_all
+    (fun id ->
+      let n = Dfg.node g id in
+      Dfg.preds g id = uniq (Array.to_list n.Dfg.args)
+      && Dfg.succs g id = uniq (List.rev n.Dfg.users))
+    (List.init (Dfg.node_count g) Fun.id)
+
+(* Both before and after plan application, whose rewiring exercises every
+   use-list mutation. *)
+let managed g =
+  let regioned = Resbm.Region.build g in
+  match Resbm.Btsmgr.plan regioned prm with
+  | plan -> [ (Resbm.Plan.apply regioned prm plan).Resbm.Plan.dfg ]
+  | exception Resbm.Btsmgr.No_plan _ -> []
+
+let preds_succs_random =
+  qcheck ~count:50 "preds/succs equal the hash-set dedup"
+    (QCheck2.Gen.pair (random_dfg_gen ~max_nodes:50 ~max_depth:8) QCheck2.Gen.bool)
+    (fun (params, residual) ->
+      let g = build_random_dfg ~residual params in
+      List.for_all preds_succs_match_uniq (g :: managed g))
+
+let preds_succs_models () =
+  List.iter
+    (fun m ->
+      let g = (Nn.Lowering.lower m).Nn.Lowering.dfg in
+      checkb (m.Nn.Model.name ^ ": preds/succs equal the hash-set dedup") true
+        (List.for_all preds_succs_match_uniq (g :: managed g)))
+    Nn.Model.paper_models
+
 (* --- Depth --------------------------------------------------------------- *)
 
 let depth_fig3 () =
@@ -432,6 +477,8 @@ let suite =
     case "dfg: copy is independent" dfg_copy_independent;
     dfg_topo_is_topological;
     random_dfgs_valid;
+    preds_succs_random;
+    case "dfg: preds/succs on the paper models" preds_succs_models;
     case "depth: fig3 polynomial" depth_fig3;
     case "depth: fig1 block" depth_fig1;
     case "depth: SMOs transparent" depth_smo_transparent;

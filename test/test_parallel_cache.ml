@@ -304,6 +304,83 @@ let memo_hits_equal_fresh_computes () =
   walk "resnet20" (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg;
   walk "layered" (layered ~layers:4)
 
+(* The DP's latency query against the full evaluation.  [reference ()]
+   gives the cache each [eval] runs on; each grid point must agree bitwise
+   with [latency] on one cache shared by every region, or both must raise
+   [Infeasible]. *)
+let latency_agrees label r prm ~reference ~entry_levels ~bts_targets =
+  let bits = Int64.bits_of_float in
+  let shared = Resbm.Region_eval.create_cache () in
+  let modes =
+    List.concat_map
+      (fun smo -> List.map (fun bts -> (smo, bts)) Resbm.Region_eval.[ Bts_min_cut; Bts_region_end ])
+      Resbm.Region_eval.[ Smo_min_cut; Smo_eva; Smo_pars ]
+  in
+  let answer f = match f () with l -> Some (bits l) | exception Resbm.Region_eval.Infeasible _ -> None in
+  for region = 0 to r.Resbm.Region.count - 1 do
+    List.iter
+      (fun (smo_mode, bts_mode) ->
+        List.iter
+          (fun entry_level ->
+            for rescales = 0 to 2 do
+              List.iter
+                (fun bts ->
+                  let query () =
+                    Resbm.Region_eval.latency shared r prm ~smo_mode ~bts_mode ~region
+                      ~entry_level ~rescales ~bts
+                  and full () =
+                    (Resbm.Region_eval.eval (reference ()) r prm ~smo_mode ~bts_mode ~region
+                       ~entry_level ~rescales ~bts)
+                      .Resbm.Region_eval.latency_ms
+                  in
+                  if answer query <> answer full then
+                    Alcotest.failf "%s: region %d (entry %d, %d rescales, bts %s) differs" label
+                      region entry_level rescales
+                      (match bts with None -> "-" | Some l -> string_of_int l))
+                bts_targets
+            done)
+          entry_levels)
+      modes
+  done
+
+let levels l_max = List.init (l_max + 1) Fun.id
+
+(* Random graphs: the whole grid, each [eval] on a fresh cache. *)
+let latency_equals_eval_random =
+  qcheck ~count:8 "latency query equals eval (random graphs)"
+    (QCheck2.Gen.pair (random_dfg_gen ~max_nodes:30 ~max_depth:6) QCheck2.Gen.bool)
+    (fun (params, residual) ->
+      let prm = Ckks.Params.with_l_max prm 6 in
+      let r = Resbm.Region.build (build_random_dfg ~residual params) in
+      latency_agrees "random" r prm
+        ~reference:(fun () -> Resbm.Region_eval.create_cache ())
+        ~entry_levels:(levels 6)
+        ~bts_targets:(None :: List.init 6 (fun l -> Some (l + 1)));
+      true)
+
+(* Every region of the seven paper models at l_max 16 and 10.  Computing
+   the whole grid afresh for each of their 2,621 regions would take
+   minutes, so [eval] runs on one reference cache per model, whose own
+   store solves each shape once (a store hit is a fresh compute — the test
+   above); the grid keeps every mode and rescale count, and samples the
+   entry levels and bootstrap targets at both ends. *)
+let latency_equals_eval_models () =
+  List.iter
+    (fun l_max ->
+      let prm = Ckks.Params.with_l_max prm l_max in
+      List.iter
+        (fun m ->
+          let r = Resbm.Region.build (Nn.Lowering.lower m).Nn.Lowering.dfg in
+          let reference = Resbm.Region_eval.create_cache () in
+          latency_agrees
+            (Printf.sprintf "%s@%d" m.Nn.Model.name l_max)
+            r prm
+            ~reference:(fun () -> reference)
+            ~entry_levels:[ 0; 1; 2; l_max - 1; l_max ]
+            ~bts_targets:[ None; Some 1; Some l_max ])
+        Nn.Model.paper_models)
+    [ 16; 10 ]
+
 (* --- on-disk tier ---------------------------------------------------------- *)
 
 let with_temp_dir f =
@@ -360,6 +437,8 @@ let suite =
     case "memo replans only dirty regions" memo_reuses_clean_regions;
     case "shape keys are id-relative and exact" shape_key_is_id_relative;
     case "every memo hit equals a fresh compute" memo_hits_equal_fresh_computes;
+    latency_equals_eval_random;
+    case "latency query equals eval (paper models)" latency_equals_eval_models;
     case "disk tier round-trips across cache instances" disk_tier_survives_processes;
     case "lru eviction respects capacity" lru_eviction_is_bounded;
   ]

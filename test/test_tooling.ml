@@ -126,23 +126,56 @@ let no_sinking_still_compiles =
           Result.is_ok (Scale_check.run prm outcome.Resbm.Plan.dfg)
       | exception Resbm.Btsmgr.No_plan _ -> true)
 
+(* Residual random graphs at a low input level: values fly over regions
+   and the chain bootstraps early, so plans that ignore transits need
+   level-deficit repairs. *)
+let repair_prm = { prm with l_max = 4; input_level = 2 }
+
+let residual_dfg_gen = random_dfg_gen ~max_nodes:60 ~max_depth:10
+
 let no_transit_pricing_still_compiles =
-  qcheck ~count:15 "plans without transit pricing are still legal (repairs fire)"
-    (random_dfg_gen ~max_nodes:40 ~max_depth:10)
+  qcheck ~count:40 "plans without transit pricing are still legal (repairs fire)"
+    residual_dfg_gen
     (fun params ->
-      let g = build_random_dfg params in
+      let g = build_random_dfg ~residual:true params in
       let regioned = Resbm.Region.build g in
-      let config = { Resbm.Btsmgr.resbm_config with price_transits = false } in
-      match Resbm.Btsmgr.plan ~config regioned prm with
-      | plan ->
-          let outcome = Resbm.Plan.apply regioned prm plan in
-          Result.is_ok (Scale_check.run prm outcome.Resbm.Plan.dfg)
-      | exception Resbm.Btsmgr.No_plan _ -> true)
+      let legal price_transits =
+        let config = { Resbm.Btsmgr.resbm_config with price_transits } in
+        match Resbm.Btsmgr.plan ~config regioned repair_prm with
+        | plan ->
+            let outcome = Resbm.Plan.apply regioned repair_prm plan in
+            Result.is_ok (Scale_check.run repair_prm outcome.Resbm.Plan.dfg)
+        | exception Resbm.Btsmgr.No_plan _ -> true
+      in
+      (* the priced DP reads the production levels of the chosen chain *)
+      legal false && legal true)
+
+let pass_through_joins () =
+  (* [y] only passes through region 1 (an [Add_cp] of the input, sunk
+     next to its use); adding it to that region's product needs the
+     product rescaled first, exactly as for an operand from another
+     region *)
+  let g = Dfg.create () in
+  let x = Dfg.input g "x" in
+  let y = Dfg.add_cp g x (Dfg.const g "k") in
+  let m = Dfg.mul_cp g x (Dfg.const g "c") in
+  let j = Dfg.add_cc g y m in
+  Dfg.set_outputs g [ Dfg.mul_cp g j (Dfg.const g "d") ];
+  let r = Resbm.Region.build g in
+  checki "y sinks next to its use" 1 r.Resbm.Region.region_of.(y);
+  checkb "the join sits below the rescale cut" true r.Resbm.Region.is_cross_join.(j);
+  checkb "a pure product chain is no join" false r.Resbm.Region.is_cross_join.(m);
+  (* a residual graph whose unpriced plan once failed [Plan.apply] with
+     an add_cc scale mismatch (2^56 vs 2^112) at such a join *)
+  let g = build_random_dfg ~residual:true (68, 80, 14) in
+  let p = { prm with l_max = 6; input_level = 3 } in
+  let regioned = Resbm.Region.build g in
+  let config = { Resbm.Btsmgr.resbm_config with price_transits = false } in
+  let outcome = Resbm.Plan.apply regioned p (Resbm.Btsmgr.plan ~config regioned p) in
+  checkb "legal" true (Result.is_ok (Scale_check.run p outcome.Resbm.Plan.dfg))
 
 let repairs_are_logged () =
-  (* Every level-deficit repair emits one [plan.repair] debug record.
-     Random graphs have no residual spans and plan without repairs; the
-     residual-heavy tiny model at input level 8 repairs twice. *)
+  (* Every level-deficit repair emits one [plan.repair] debug record. *)
   let repairs prm g =
     let regioned = Resbm.Region.build g in
     let config = { Resbm.Btsmgr.resbm_config with price_transits = false } in
@@ -164,9 +197,12 @@ let repairs_are_logged () =
           records;
         outcome.Resbm.Plan.repair_bootstraps
   in
+  let repaired = ref 0 in
   for seed = 0 to 19 do
-    ignore (repairs prm (build_random_dfg (seed, 40, 10)))
+    if repairs repair_prm (build_random_dfg ~residual:true (seed, 60, 10)) > 0 then
+      incr repaired
   done;
+  checkb "some residual random graph needs a repair" true (!repaired > 0);
   let tiny = (Nn.Lowering.lower Nn.Model.tiny).Nn.Lowering.dfg in
   checkb "tiny repairs" true (repairs { prm with input_level = 8 } tiny > 0)
 
@@ -197,5 +233,6 @@ let suite =
     case "ablation: no sinking keeps invariants" no_sinking_keeps_invariants;
     no_sinking_still_compiles;
     no_transit_pricing_still_compiles;
+    case "residual joins of pass-through values are legal" pass_through_joins;
     case "ablation: transit pricing never hurts" transit_pricing_never_hurts;
   ]

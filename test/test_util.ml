@@ -81,14 +81,18 @@ let input_env ~dim seed =
   Array.init dim (fun _ -> Ckks.Prng.uniform rng ~lo:(-1.0) ~hi:1.0)
 
 (* Random legal management-free DFGs for property tests: layered graphs of
-   ct operations whose depth stays below the given bound. *)
+   ct operations whose depth stays below the given bound.  With
+   [~residual:true], [add_cc] may also join operands of different depths
+   (a residual add, as in the ResNets), so values fly over regions and a
+   bootstrap between producer and consumer needs a level-deficit repair;
+   the graphs drawn for a given parameter triple are otherwise the same. *)
 let random_dfg_gen ~max_nodes ~max_depth =
   let open QCheck2.Gen in
   let* seed = int_bound 1_000_000 in
   let* node_budget = int_range 4 max_nodes in
   return (seed, node_budget, max_depth)
 
-let build_random_dfg (seed, node_budget, max_depth) =
+let build_random_dfg ?(residual = false) (seed, node_budget, max_depth) =
   let rng = Ckks.Prng.create (Int64.of_int seed) in
   let g = Dfg.create () in
   let x = Dfg.input g "x" in
@@ -110,7 +114,7 @@ let build_random_dfg (seed, node_budget, max_depth) =
           (Dfg.mul_cp g a (Dfg.const g (Printf.sprintf "c%d" !counter)), da + 1)
       | 2 ->
           let b, db = pick () in
-          if db = da then (Dfg.add_cc g a b, da)
+          if db = da || residual then (Dfg.add_cc g a b, max da db)
           else (Dfg.rotate g a 1, da)
       | 3 -> (Dfg.rotate g a ((Ckks.Prng.int rng ~bound:5) - 2), da)
       | _ -> (Dfg.add_cp g a (Dfg.const g (Printf.sprintf "k%d" !counter)), da)
@@ -123,6 +127,13 @@ let build_random_dfg (seed, node_budget, max_depth) =
       (fun n ->
         if n.Dfg.users = [] && Op.produces_ct n.Dfg.kind then Some n.Dfg.id else None)
       (Dfg.live_nodes g)
+  in
+  (* a residual join in the final region would meet an unrescaled product
+     (that region's rescales are never applied): read every sink out
+     through a plaintext product, which opens a region of its own *)
+  let sinks =
+    if not residual then sinks
+    else List.map (fun s -> Dfg.mul_cp g s (Dfg.const g (Printf.sprintf "r%d" s))) sinks
   in
   Dfg.set_outputs g sinks;
   g
